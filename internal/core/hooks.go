@@ -42,10 +42,10 @@ func (e *Engine) OnEdge(c *collector.Collector, parent heap.Addr, slot int, chil
 			// fast path above stays free of any attribution branch.
 			if cs := e.costs; cs != nil {
 				t0 := time.Now()
-				act = e.onDeadReachable(c.GCCount(), child, f, c.CurrentRoot(), c.CurrentPath())
+				act = e.onDeadReachable(c, child, f)
 				cs.addSince(KindDead, t0)
 			} else {
-				act = e.onDeadReachable(c.GCCount(), child, f, c.CurrentRoot(), c.CurrentPath())
+				act = e.onDeadReachable(c, child, f)
 			}
 			if act == collector.EdgeClear {
 				return act
@@ -61,20 +61,20 @@ func (e *Engine) OnEdge(c *collector.Collector, parent heap.Addr, slot int, chil
 		if f&flagLogged == 0 {
 			if cs := e.costs; cs != nil {
 				t0 := time.Now()
-				e.onSharedUnshared(c.GCCount(), child, c.CurrentRoot(), c.CurrentPath())
+				e.onSharedUnshared(c, child)
 				cs.addSince(KindUnshared, t0)
 			} else {
-				e.onSharedUnshared(c.GCCount(), child, c.CurrentRoot(), c.CurrentPath())
+				e.onSharedUnshared(c, child)
 			}
 		}
 	}
-	if f&heap.FlagOwnee != 0 && f&heap.FlagOwned == 0 && !e.inOwnership {
+	if f&heap.FlagOwnee != 0 && f&heap.FlagOwned == 0 && e.col == nil {
 		if cs := e.costs; cs != nil {
 			t0 := time.Now()
-			e.onUnownedReachable(c.GCCount(), child, c.CurrentRoot(), c.CurrentPath())
+			e.onUnownedReachable(c, child)
 			cs.addSince(KindOwnedBy, t0)
 		} else {
-			e.onUnownedReachable(c.GCCount(), child, c.CurrentRoot(), c.CurrentPath())
+			e.onUnownedReachable(c, child)
 		}
 		// Suppress duplicate reports for this ownee within this cycle; the
 		// owned flags are reset in PostMark.
@@ -83,9 +83,8 @@ func (e *Engine) OnEdge(c *collector.Collector, parent heap.Addr, slot int, chil
 	return act
 }
 
-// onDeadReachable handles an asserted-dead object found reachable. ancestors
-// is the current trace path (excluding the object itself).
-func (e *Engine) onDeadReachable(gc uint64, obj heap.Addr, f heap.Flag, root string, ancestors []heap.Addr) collector.EdgeAction {
+// onDeadReachable handles an asserted-dead object found reachable.
+func (e *Engine) onDeadReachable(c *collector.Collector, obj heap.Addr, f heap.Flag) collector.EdgeAction {
 	s := e.space
 	if f&flagLogged != 0 {
 		// Already reported this cycle. In force mode, keep severing every
@@ -97,9 +96,10 @@ func (e *Engine) onDeadReachable(gc uint64, obj heap.Addr, f heap.Flag, root str
 	}
 	e.stats.DeadViolations++
 	e.markLogged(obj)
+	root, ancestors := e.edgeContext(c)
 	v := &Violation{
 		Kind:     KindDead,
-		GC:       gc,
+		GC:       c.GCCount(),
 		Object:   obj,
 		TypeName: s.TypeName(obj),
 		Site:     s.SiteDesc(obj),
@@ -117,12 +117,13 @@ func (e *Engine) onDeadReachable(gc uint64, obj heap.Addr, f heap.Flag, root str
 
 // onSharedUnshared handles a second encounter of an asserted-unshared
 // object. As the paper notes (§2.7), only the second path is available.
-func (e *Engine) onSharedUnshared(gc uint64, obj heap.Addr, root string, ancestors []heap.Addr) {
+func (e *Engine) onSharedUnshared(c *collector.Collector, obj heap.Addr) {
 	e.stats.UnsharedViolations++
 	e.markLogged(obj)
+	root, ancestors := e.edgeContext(c)
 	v := &Violation{
 		Kind:     KindUnshared,
-		GC:       gc,
+		GC:       c.GCCount(),
 		Object:   obj,
 		TypeName: e.space.TypeName(obj),
 		Site:     e.space.SiteDesc(obj),
@@ -136,25 +137,31 @@ func (e *Engine) onSharedUnshared(gc uint64, obj heap.Addr, root string, ancesto
 // onUnownedReachable handles an ownee reached during the normal scan without
 // having been marked owned by the ownership phase: it is reachable, but not
 // through its owner.
-func (e *Engine) onUnownedReachable(gc uint64, obj heap.Addr, root string, ancestors []heap.Addr) {
+func (e *Engine) onUnownedReachable(c *collector.Collector, obj heap.Addr) {
 	s := e.space
 	e.stats.OwnedViolations++
-	owner := e.owneeOwner[obj]
-	msg := "owner unknown"
-	if owner != heap.Nil {
-		msg = fmt.Sprintf("asserted owner is %s@%#x, which does not reach the object", s.TypeName(owner), uint32(owner))
-	}
+	root, ancestors := e.edgeContext(c)
 	v := &Violation{
 		Kind:     KindOwnedBy,
-		GC:       gc,
+		GC:       c.GCCount(),
 		Object:   obj,
 		TypeName: s.TypeName(obj),
 		Site:     s.SiteDesc(obj),
 		Root:     root,
 		Path:     BuildPath(s, ancestors, obj),
-		Message:  msg,
+		Message:  e.unownedMessage(obj),
 	}
 	e.report(v)
+}
+
+// unownedMessage names the asserted owner of an ownee the normal scan
+// reached without its owned flag.
+func (e *Engine) unownedMessage(obj heap.Addr) string {
+	owner := e.ownerOf(obj)
+	if owner == heap.Nil {
+		return "owner unknown"
+	}
+	return fmt.Sprintf("asserted owner is %s@%#x, which does not reach the object", e.space.TypeName(owner), uint32(owner))
 }
 
 // WantAllFirstMarks implements collector.Hooks: the engine needs to see
@@ -233,10 +240,13 @@ func (e *Engine) PruneWeak() {
 	for i := range e.owners {
 		rec := e.owners[i]
 		if !s.Marked(rec.owner) {
+			// Dying ownees lose their table entries to the sweep; the
+			// survivors' must go now, before the owner's address can be
+			// reused by a new owner.
 			for _, oe := range rec.ownees {
-				delete(e.owneeOwner, oe)
 				if s.Marked(oe) {
 					s.ClearFlag(oe, heap.FlagOwnee|heap.FlagOwned)
+					e.owneeTab.Set(oe, 0)
 				}
 			}
 			continue
@@ -246,8 +256,6 @@ func (e *Engine) PruneWeak() {
 			if s.Marked(oe) {
 				s.ClearFlag(oe, heap.FlagOwned)
 				keep = append(keep, oe)
-			} else {
-				delete(e.owneeOwner, oe)
 			}
 		}
 		rec.ownees = keep
@@ -266,22 +274,18 @@ func (e *Engine) PruneWeak() {
 	}
 }
 
-// removeOwnee deletes ownee from owner's record (used when an ownee is
-// re-asserted with a different owner).
+// removeOwnee deletes ownee from owner's ownee list (used when an ownee is
+// re-asserted with a different owner, which then overwrites its table
+// entry). Every table entry names a live owner record, so the lookup cannot
+// miss.
 func (e *Engine) removeOwnee(owner, ownee heap.Addr) {
-	idx, ok := e.ownerIdx[owner]
-	if !ok {
-		return
-	}
-	rec := &e.owners[idx]
+	rec := &e.owners[e.ownerIdx[owner]]
 	for i, oe := range rec.ownees {
 		if oe == ownee {
-			rec.ownees = append(rec.ownees[:i], rec.ownees[i+1:]...)
-			break
+			last := len(rec.ownees) - 1
+			rec.ownees[i] = rec.ownees[last]
+			rec.ownees = rec.ownees[:last]
+			return
 		}
-	}
-	delete(e.owneeOwner, ownee)
-	if e.space.Contains(ownee) {
-		e.space.ClearFlag(ownee, heap.FlagOwnee|heap.FlagOwned)
 	}
 }

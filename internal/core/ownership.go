@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"gcassert/internal/collector"
 	"gcassert/internal/heap"
@@ -28,17 +27,7 @@ func (e *Engine) ownershipPhase(c *collector.Collector) {
 	if len(e.owners) == 0 {
 		return
 	}
-	e.inOwnership = true
-	e.gcSeq = c.GCCount()
-	// Sort any ownee arrays that grew since the last collection, so the
-	// membership checks below are binary searches.
-	for i := range e.owners {
-		if e.owners[i].dirty {
-			rec := &e.owners[i]
-			sort.Slice(rec.ownees, func(a, b int) bool { return rec.ownees[a] < rec.ownees[b] })
-			rec.dirty = false
-		}
-	}
+	e.col = c
 	for i := range e.owners {
 		e.curOwner = i
 		rec := &e.owners[i]
@@ -56,7 +45,7 @@ func (e *Engine) ownershipPhase(c *collector.Collector) {
 			e.drainOwnership()
 		}
 	}
-	e.inOwnership = false
+	e.col = nil
 }
 
 func (e *Engine) drainOwnership() {
@@ -87,8 +76,7 @@ func (e *Engine) ownVisit(slot int, t heap.Addr) {
 	// kind of object it reaches — in particular to ownees, which would
 	// otherwise be marked here and never re-examined by the normal scan.
 	if f&heap.FlagDead != 0 {
-		act := e.onDeadReachable(e.gcSeq, t, f, e.ownerRootDesc(rec.owner), e.ownershipPath())
-		if act == collector.EdgeClear {
+		if e.onDeadReachable(e.col, t, f) == collector.EdgeClear {
 			s.ClearRefSlot(e.ownParent, slot)
 			return
 		}
@@ -96,22 +84,22 @@ func (e *Engine) ownVisit(slot int, t heap.Addr) {
 
 	if f&heap.FlagOwnee != 0 {
 		e.stats.OwneesChecked++
-		if !e.belongsTo(rec, t) {
+		// Membership is one indexed load from the ownee→owner side table.
+		if asserted := e.ownerOf(t); asserted != rec.owner && f&flagLogged == 0 {
 			// Overlap between owner regions: improper use of the assertion.
-			if f&flagLogged == 0 {
-				e.stats.ImproperOwnership++
-				e.markLogged(t)
-				e.report(&Violation{
-					Kind:     KindImproperOwnership,
-					GC:       e.gcSeq,
-					Object:   t,
-					TypeName: s.TypeName(t),
-					Root:     e.ownerRootDesc(rec.owner),
-					Path:     BuildPath(s, e.ownershipPath(), t),
-					Message: fmt.Sprintf("ownee of %s@%#x reached while scanning from %s@%#x; owner regions must be disjoint",
-						s.TypeName(e.owneeOwner[t]), uint32(e.owneeOwner[t]), s.TypeName(rec.owner), uint32(rec.owner)),
-				})
-			}
+			e.stats.ImproperOwnership++
+			e.markLogged(t)
+			root, ancestors := e.edgeContext(e.col)
+			e.report(&Violation{
+				Kind:     KindImproperOwnership,
+				GC:       e.col.GCCount(),
+				Object:   t,
+				TypeName: s.TypeName(t),
+				Root:     root,
+				Path:     BuildPath(s, ancestors, t),
+				Message: fmt.Sprintf("ownee of %s@%#x reached while scanning from %s@%#x; owner regions must be disjoint",
+					s.TypeName(asserted), uint32(asserted), s.TypeName(rec.owner), uint32(rec.owner)),
+			})
 		}
 		if f&heap.FlagMark == 0 {
 			s.SetMark(t)
@@ -135,7 +123,7 @@ func (e *Engine) ownVisit(slot int, t heap.Addr) {
 
 	if f&heap.FlagMark != 0 {
 		if f&heap.FlagUnshared != 0 && f&flagLogged == 0 {
-			e.onSharedUnshared(e.gcSeq, t, e.ownerRootDesc(rec.owner), e.ownershipPath())
+			e.onSharedUnshared(e.col, t)
 		}
 		return
 	}
@@ -143,13 +131,6 @@ func (e *Engine) ownVisit(slot int, t heap.Addr) {
 	s.SetMark(t)
 	e.countInstance(t)
 	e.ostack = append(e.ostack, t)
-}
-
-// belongsTo reports whether t is a registered ownee of rec, by binary search
-// over the sorted ownee array (the paper's n log n membership check).
-func (e *Engine) belongsTo(rec *ownerRec, t heap.Addr) bool {
-	i := sort.Search(len(rec.ownees), func(j int) bool { return rec.ownees[j] >= t })
-	return i < len(rec.ownees) && rec.ownees[i] == t
 }
 
 // countInstance counts a newly marked object for assert-instances tracking.
@@ -174,8 +155,15 @@ func (e *Engine) ownershipPath() []heap.Addr {
 	return path
 }
 
-// ownerRootDesc describes the owner whose region is being scanned, used as
-// the "root" of paths reported during the ownership phase.
-func (e *Engine) ownerRootDesc(owner heap.Addr) string {
-	return fmt.Sprintf("owner %s@%#x", e.space.TypeName(owner), uint32(owner))
+// edgeContext returns the root description and ancestor path of the edge
+// being checked: the scanned owner and the ownership worklist during the
+// pre-phase, the collector's current root and trace stack otherwise. It
+// formats a string and copies a worklist, so callers ask for it only once
+// they are certain to build a Violation.
+func (e *Engine) edgeContext(c *collector.Collector) (string, []heap.Addr) {
+	if e.col == nil {
+		return c.CurrentRoot(), c.CurrentPath()
+	}
+	owner := e.owners[e.curOwner].owner
+	return fmt.Sprintf("owner %s@%#x", e.space.TypeName(owner), uint32(owner)), e.ownershipPath()
 }

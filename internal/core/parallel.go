@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -252,11 +251,7 @@ func (e *Engine) reportParallel(p *parPending, gc uint64, r *parmark.Resolver) {
 		v.Message = "second path shown; the first path was traced earlier"
 	case KindOwnedBy:
 		e.stats.OwnedViolations++
-		owner := e.owneeOwner[p.obj]
-		v.Message = "owner unknown"
-		if owner != heap.Nil {
-			v.Message = fmt.Sprintf("asserted owner is %s@%#x, which does not reach the object", s.TypeName(owner), uint32(owner))
-		}
+		v.Message = e.unownedMessage(p.obj)
 	}
 	if p.forced && len(v.Path) >= 2 && p.slot >= 0 {
 		// The severing already cleared the slot, so BuildPath's generic

@@ -8,10 +8,9 @@ package heap
 //
 // The table is a side structure, not a header field: object headers keep
 // their paper-faithful layout (flags + TypeID + length), and a runtime with
-// provenance disabled pays exactly one nil-check per allocation and per
-// reclamation. Entries are maintained across sweep/reuse by forgetting the
-// address when its object is reclaimed, so a recycled cell can never inherit
-// a previous tenant's site.
+// provenance disabled pays exactly one nil-check per allocation. The table
+// is a CellTable, whose clear-on-free guarantee means a recycled cell can
+// never inherit a previous tenant's site.
 //
 // Provenance shares the Space's single-goroutine discipline: registration
 // and recording happen from mutator context, lookups from violation
@@ -45,8 +44,8 @@ type Provenance struct {
 	// index dedupes registration by description, so re-registering the same
 	// callsite (e.g. a reloaded guest image) returns the existing ID.
 	index map[string]SiteID
-	// table maps live object addresses to their recorded site.
-	table map[Addr]SiteID
+	// table holds the recorded SiteID of each live sited object.
+	table *CellTable
 	// allocs[id] counts recorded allocations per site, cumulatively (never
 	// decremented on reclamation). The trigger explainer diffs successive
 	// snapshots to name the dominant allocating site of an inter-GC window.
@@ -72,7 +71,7 @@ func (s *Space) EnableProvenance(sample int) *Provenance {
 		s.prov = &Provenance{
 			names:  []string{""},
 			index:  make(map[string]SiteID),
-			table:  make(map[Addr]SiteID),
+			table:  s.NewCellTable(),
 			allocs: []uint64{0},
 		}
 	}
@@ -98,7 +97,7 @@ func (s *Space) RecordSite(a Addr, site SiteID) {
 		return
 	}
 	p.tick = 0
-	p.table[a] = site
+	p.table.Set(a, uint32(site))
 	if int(site) < len(p.allocs) {
 		p.allocs[site]++
 	}
@@ -111,7 +110,7 @@ func (s *Space) SiteOf(a Addr) SiteID {
 	if s.prov == nil {
 		return 0
 	}
-	return s.prov.table[a]
+	return SiteID(s.prov.table.Get(a))
 }
 
 // SiteDesc returns the description of the allocation site recorded for the
@@ -120,12 +119,8 @@ func (s *Space) SiteDesc(a Addr) string {
 	if s.prov == nil {
 		return ""
 	}
-	return s.prov.Name(s.prov.table[a])
+	return s.prov.Name(s.SiteOf(a))
 }
-
-// forget drops the table entry for a reclaimed object. The sweep calls it
-// for every freed address when provenance is enabled.
-func (p *Provenance) forget(a Addr) { delete(p.table, a) }
 
 // Register assigns (or returns the existing) SiteID for an allocation-site
 // description. Descriptions identify sites, so registration is idempotent;
@@ -178,7 +173,7 @@ func (p *Provenance) Stats() ProvStats {
 		Sites:        p.NumSites(),
 		Recorded:     p.recorded,
 		Skipped:      p.skipped,
-		TableEntries: len(p.table),
+		TableEntries: p.table.Len(),
 		SampleRate:   p.sample,
 	}
 }

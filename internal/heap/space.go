@@ -88,8 +88,12 @@ type Space struct {
 	keepMarks bool
 
 	// prov is the allocation-site provenance table; nil (the default) costs
-	// one nil-check on the sited-allocation and reclamation paths.
+	// one nil-check on the sited-allocation path.
 	prov *Provenance
+
+	// tables are the cell-indexed side tables (celltable.go) whose entries
+	// the sweep clears for every cell it frees.
+	tables []*CellTable
 
 	stats Stats
 }

@@ -61,16 +61,14 @@ func (s *Space) sweepSmallBlock(bi uint32, b *blockInfo, res *SweepResult) {
 			if s.FreeHook != nil {
 				s.FreeHook(cell)
 			}
-			if s.prov != nil {
-				s.prov.forget(cell)
-			}
+			s.clearCell(bi, c)
 			bitClear(b.allocBits, c)
 			b.liveCells--
 			res.ObjectsFreed++
 			res.WordsFreed += cellWords
-			s.words[cell.word()] = 0 // clear stale header flags
 		}
-		// Cell is free: thread it onto the block free list.
+		// Cell is free: thread it onto the block free list. Zeroing the
+		// first word also clears a freed object's stale header flags.
 		s.words[cell.word()] = 0
 		if tail == Nil {
 			b.freeHead = cell
@@ -85,10 +83,11 @@ func (s *Space) sweepSmallBlock(bi uint32, b *blockInfo, res *SweepResult) {
 		b.class = blkFree
 		b.freeHead = Nil
 		s.freeBlocks = append(s.freeBlocks, bi)
+		s.dropRows(bi)
 		return
 	}
 	if free > 0 {
-		s.partial[classFor(cellWords)] = append(s.partial[classFor(cellWords)], bi)
+		s.partial[b.class] = append(s.partial[b.class], bi)
 	}
 }
 
@@ -104,9 +103,8 @@ func (s *Space) sweepLargeSpan(bi uint32, b *blockInfo, res *SweepResult) {
 	if s.FreeHook != nil {
 		s.FreeHook(a)
 	}
-	if s.prov != nil {
-		s.prov.forget(a)
-	}
+	s.clearCell(bi, 0)
+	s.dropRows(bi)
 	n := int(b.spanLen)
 	for i := 0; i < n; i++ {
 		blk := &s.blocks[bi+uint32(i)]
