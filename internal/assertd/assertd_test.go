@@ -17,7 +17,7 @@ import (
 // Guest programs for the tests. leakerSrc trips assert-dead once per run
 // (the local still roots the node at the forced collection); steadySrc is
 // violation-free churn; oomSrc retains until the heap gives out; spinSrc
-// burns steps until the budget fails it.
+// burns steps until the budget fails it; recurseSrc never returns from a call.
 const (
 	leakerSrc = `
 class Node { Node next; }
@@ -54,6 +54,11 @@ class Main {
     int i = 0;
     while (i < 100000000) { i = i + 1; }
   }
+}`
+	recurseSrc = `
+class Main {
+  int f(int n) { return this.f(n + 1); }
+  void main() { int x = this.f(0); }
 }`
 )
 
@@ -237,9 +242,11 @@ func TestGuestFaultIsolation(t *testing.T) {
 	_, ts := testServer(t, assertd.Config{})
 	createTenant(t, ts, "oom", assertd.TenantOptions{HeapMiB: 1})
 	createTenant(t, ts, "spin", assertd.TenantOptions{HeapMiB: 1, MaxSteps: 10_000})
+	createTenant(t, ts, "recurse", assertd.TenantOptions{HeapMiB: 1}) // the server's default step budget
 	createTenant(t, ts, "ok", assertd.TenantOptions{HeapMiB: 4})
 	submit(t, ts, "oom", oomSrc)
 	submit(t, ts, "spin", spinSrc)
+	submit(t, ts, "recurse", recurseSrc)
 	submit(t, ts, "ok", steadySrc)
 
 	if res := drive(t, ts, "oom", 2, false); res.Failures != 2 ||
@@ -250,7 +257,13 @@ func TestGuestFaultIsolation(t *testing.T) {
 		!strings.Contains(res.LastError, "budget") {
 		t.Errorf("spin drive: %+v", res)
 	}
-	// Both faults were isolated: the healthy tenant — and the faulting
+	// Unbounded guest recursion once overflowed the host's stack, which kills
+	// the process for every tenant; it is the guest's own stack that overflows.
+	if res := drive(t, ts, "recurse", 2, false); res.Failures != 2 ||
+		!strings.Contains(res.LastError, "stack overflow") {
+		t.Errorf("recurse drive: %+v", res)
+	}
+	// The faults were isolated: the healthy tenant — and the faulting
 	// tenants themselves — keep serving.
 	if res := drive(t, ts, "ok", 3, true); res.Failures != 0 || res.Violations != 0 {
 		t.Errorf("healthy tenant after faults: %+v", res)

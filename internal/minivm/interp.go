@@ -30,7 +30,7 @@ type Image struct {
 	out  io.Writer
 	// typeIDs maps class index to managed TypeID.
 	typeIDs []gcassert.TypeID
-	// steps counts executed instructions against MaxSteps.
+	// steps counts executed instructions, against MaxSteps when it is set.
 	steps uint64
 	// MaxSteps bounds execution (0 = unlimited); exceeded → VMError.
 	MaxSteps uint64
@@ -40,6 +40,33 @@ type Image struct {
 	// registered — real IDs are never 0 while provenance is on).
 	provenance bool
 	sites      map[*MethodInfo][]gcassert.SiteID
+	// ints is the integer value stack and calls the control stack of
+	// suspended callers. Both keep what they grew to from one Run to the
+	// next; the reference stack is the rt frame of the Run in progress.
+	ints  []int64
+	calls []activation
+	// fr, cur and sp are the Run in progress: its frame, the active
+	// activation and its operand depth. cur.pc and sp are current only while
+	// run is not running: run keeps them in registers.
+	fr  *gcassert.Frame
+	cur activation
+	sp  int
+	// atSafepoint, when a test sets it, sees the active activation at every
+	// point a collection can start.
+	atSafepoint func(sp int)
+}
+
+// maxStackSlots caps the value stacks, and with them the guest's call depth
+// (every activation starts at least one slot above its caller's): the call
+// that would carve past it is a guest "stack overflow", not a host one.
+const maxStackSlots = 1 << 16
+
+// activation is a method in progress: where it resumes and where its slots
+// start.
+type activation struct {
+	m    *MethodInfo
+	pc   int
+	base int
 }
 
 // Load verifies the unit's bytecode, registers its classes with the
@@ -91,25 +118,33 @@ func (im *Image) Thread() *gcassert.Thread { return im.th }
 // rather than per-lifetime.
 func (im *Image) ResetSteps() { im.steps = 0 }
 
-// Run executes Main.main() on a fresh Main instance, converting guest
-// runtime errors into *VMError.
-func (im *Image) Run() (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			switch r := r.(type) {
-			case *VMError:
-				err = r
-			default:
-				panic(r)
-			}
-		}
-	}()
-	fr := im.th.Push(1)
+// Run executes Main.main() on a fresh Main instance. Guest runtime errors
+// come back as *VMError; host panics (out of memory, a halting violation
+// reaction) pass through once the run's frame is popped.
+func (im *Image) Run() error {
+	// The frame is the reference stack. Pushing it at the integer stack's
+	// size gives it, in one allocation, what the previous Run grew to.
+	im.fr = im.th.Push(len(im.ints))
 	defer im.th.Pop()
-	mainObj := im.th.New(im.typeIDs[im.Unit.Main.Class.Index])
-	fr.Set(0, mainObj)
-	im.invoke(im.Unit.Main, []uint64{uint64(mainObj)})
-	return nil
+	main := im.Unit.Main
+	im.fr.Resize(1)[0] = im.th.New(im.typeIDs[main.Class.Index])
+	im.calls, im.cur, im.sp = im.calls[:0], activation{m: main}, main.NumLocals
+	if !im.reserve(main, 0, 1) {
+		_, err := im.trap(0, im.steps, "stack overflow")
+		return err
+	}
+	limit := im.MaxSteps
+	if limit == 0 {
+		limit = ^uint64(0)
+	}
+	for {
+		m, base := im.cur.m, im.cur.base
+		top := base + m.NumLocals + m.MaxStack
+		more, err := im.run(im.cur.pc, im.sp, im.steps, limit, m.Code, im.ints[base:top], im.fr.Resize(top)[base:])
+		if !more {
+			return err
+		}
+	}
 }
 
 // siteAt returns the allocation SiteID for the `new` bytecode at (m, pc),
@@ -135,301 +170,336 @@ func (im *Image) siteAt(m *MethodInfo, pc int, what string) gcassert.SiteID {
 	return ids[pc]
 }
 
-// fail raises a guest runtime error.
-func (im *Image) fail(m *MethodInfo, pc int, format string, args ...interface{}) {
+// trap is run's result for a guest runtime error at pc of the active method.
+func (im *Image) trap(pc int, steps uint64, format string, args ...interface{}) (bool, error) {
+	im.steps = steps
+	m := im.cur.m
 	pos := Pos{}
 	if pc >= 0 && pc < len(m.Pos) {
 		pos = m.Pos[pc]
 	}
-	panic(&VMError{Method: m.Sig(), PC: pc, Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	return false, &VMError{Method: m.Sig(), PC: pc, Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-// invoke runs one method activation. args holds this + parameters, encoded
-// as raw uint64 (references as their Ref bits). It returns the raw return
-// value (meaningful only for non-void methods).
-func (im *Image) invoke(m *MethodInfo, args []uint64) uint64 {
-	// One rt frame backs both locals and the operand stack, so every live
-	// reference in the activation is a GC root — the interpreter's analogue
-	// of a JVM's stack maps.
-	fr := im.th.Push(m.NumLocals + m.MaxStack)
-	defer im.th.Pop()
-	vals := make([]uint64, m.NumLocals+m.MaxStack)
-	for i, a := range args {
-		vals[i] = a
-		if m.RefSlot[i] {
-			fr.Set(i, gcassert.Ref(a))
-		}
+// indexTrap is the trap of an array access that failed its check.
+func (im *Image) indexTrap(pc int, steps uint64, arr gcassert.Ref, i int64) (bool, error) {
+	if arr == gcassert.Nil {
+		return im.trap(pc, steps, "null array dereference")
 	}
-	sp := m.NumLocals
+	return im.trap(pc, steps, "array index %d out of range [0,%d)", i, im.vm.Space().ArrayLen(arr))
+}
 
-	pushInt := func(v int64) {
-		vals[sp] = uint64(v)
-		sp++
+// safepoint comes before every runtime call that can start a collection or
+// panic out of the loop: it publishes the step count the loop keeps in a
+// register.
+func (im *Image) safepoint(sp int, steps uint64) {
+	im.steps = steps
+	if im.atSafepoint != nil {
+		im.atSafepoint(sp)
 	}
-	pushRef := func(r gcassert.Ref) {
-		vals[sp] = uint64(r)
-		fr.Set(sp, r)
-		sp++
-	}
-	popInt := func() int64 {
-		sp--
-		return int64(vals[sp])
-	}
-	popRef := func() gcassert.Ref {
-		sp--
-		r := gcassert.Ref(vals[sp])
-		fr.Set(sp, gcassert.Nil)
-		return r
-	}
+}
 
-	vm, space := im.vm, im.vm.Space()
-	pc := 0
+// reserve makes room for m's activation at base, where its first nargs
+// locals (this and the parameters) already lie; it reports false when that
+// would pass maxStackSlots. The remaining integer locals are zeroed, as a
+// declaration without an initializer reads; the reference ones are Nil by
+// invariant 1.
+func (im *Image) reserve(m *MethodInfo, base, nargs int) bool {
+	top := base + m.NumLocals + m.MaxStack
+	if top > maxStackSlots {
+		return false
+	}
+	if top > len(im.ints) {
+		grown := make([]int64, min(max(top, 2*len(im.ints)), maxStackSlots))
+		copy(grown, im.ints)
+		im.ints = grown
+	}
+	clear(im.ints[base+nargs : base+m.NumLocals])
+	return true
+}
+
+// run interprets the active activation, whose code and slots it is given,
+// until a call or return makes another one active (true) or the Run ends.
+// pc, sp and steps come first so that they arrive, and stay, in registers;
+// what changes at calls and returns only is read from im where needed.
+//
+// Every activation is a run of NumLocals+MaxStack slots — locals, then the
+// operand stack — carved from two parallel stacks: an integer slot lives in
+// im.ints and a reference slot in im.fr, the only thing the collector scans,
+// so each value is written once. A callee's first locals are the caller's
+// top operand slots: a call moves base and copies nothing. What the
+// collector then relies on, and TestRootPrecision checks at every safepoint:
+//
+//  1. every scanned slot at or above the active sp is Nil (a popped
+//     reference is cleared where it is popped);
+//  2. a returned activation leaves nothing but Nil behind;
+//  3. the scanned window ends at the active activation's top.
+//
+// Indexing is unchecked beyond Go's own bounds tests: Verify has proved
+// operand depths, slot kinds, local indices and jump targets.
+func (im *Image) run(pc, sp int, steps, limit uint64, code []Instr, iv []int64, rv []gcassert.Ref) (bool, error) {
+	space := im.vm.Space()
 	for {
-		if im.MaxSteps > 0 {
-			im.steps++
-			if im.steps > im.MaxSteps {
-				im.fail(m, pc, "execution budget exceeded (%d steps)", im.MaxSteps)
-			}
+		steps++
+		if steps > limit {
+			return im.trap(pc, steps, "execution budget exceeded (%d steps)", limit)
 		}
-		if pc < 0 || pc >= len(m.Code) {
-			im.fail(m, pc, "pc out of range")
-		}
-		in := m.Code[pc]
+		in := &code[pc]
 		pc++
 		switch in.Op {
 		case OpNop:
 		case OpConstInt:
-			pushInt(in.K)
+			iv[sp] = in.K
+			sp++
 		case OpNull:
-			pushRef(gcassert.Nil)
+			rv[sp] = gcassert.Nil
+			sp++
 		case OpLoadInt:
-			pushInt(int64(vals[in.A]))
+			iv[sp] = iv[in.A]
+			sp++
 		case OpLoadRef:
-			pushRef(gcassert.Ref(vals[in.A]))
+			rv[sp] = rv[in.A]
+			sp++
 		case OpStoreInt:
-			vals[in.A] = uint64(popInt())
+			sp--
+			iv[in.A] = iv[sp]
 		case OpStoreRef:
-			r := popRef()
-			vals[in.A] = uint64(r)
-			fr.Set(in.A, r)
+			sp--
+			rv[in.A] = rv[sp]
+			rv[sp] = gcassert.Nil
 		case OpPopInt:
-			popInt()
+			sp--
 		case OpPopRef:
-			popRef()
+			sp--
+			rv[sp] = gcassert.Nil
 		case OpGetFInt:
-			obj := popRef()
+			obj := rv[sp-1]
 			if obj == gcassert.Nil {
-				im.fail(m, pc-1, "null pointer dereference")
+				return im.trap(pc-1, steps, "null pointer dereference")
 			}
-			pushInt(int64(space.GetScalar(obj, in.A)))
+			rv[sp-1] = gcassert.Nil
+			iv[sp-1] = int64(space.GetScalar(obj, in.A))
 		case OpGetFRef:
-			obj := popRef()
+			obj := rv[sp-1]
 			if obj == gcassert.Nil {
-				im.fail(m, pc-1, "null pointer dereference")
+				return im.trap(pc-1, steps, "null pointer dereference")
 			}
-			pushRef(space.GetRef(obj, in.A))
+			rv[sp-1] = space.GetRef(obj, in.A)
 		case OpPutFInt:
-			v := popInt()
-			obj := popRef()
+			sp -= 2
+			obj := rv[sp]
 			if obj == gcassert.Nil {
-				im.fail(m, pc-1, "null pointer dereference")
+				return im.trap(pc-1, steps, "null pointer dereference")
 			}
-			space.SetScalar(obj, in.A, uint64(v))
+			rv[sp] = gcassert.Nil
+			space.SetScalar(obj, in.A, uint64(iv[sp+1]))
 		case OpPutFRef:
-			v := popRef()
-			obj := popRef()
+			sp -= 2
+			obj, v := rv[sp], rv[sp+1]
 			if obj == gcassert.Nil {
-				im.fail(m, pc-1, "null pointer dereference")
+				return im.trap(pc-1, steps, "null pointer dereference")
 			}
+			rv[sp], rv[sp+1] = gcassert.Nil, gcassert.Nil
 			space.SetRef(obj, in.A, v)
 		case OpNewArrInt, OpNewArrRef:
-			n := popInt()
+			n := iv[sp-1]
 			if n < 0 {
-				im.fail(m, pc-1, "negative array length %d", n)
+				return im.trap(pc-1, steps, "negative array length %d", n)
 			}
 			t, what := gcassert.TWordArray, "int[]"
 			if in.Op == OpNewArrRef {
 				t, what = gcassert.TRefArray, "ref[]"
 			}
-			pushRef(im.th.NewArrayAt(t, int(n), im.siteAt(m, pc-1, what)))
+			im.safepoint(sp-1, steps)
+			rv[sp-1] = im.th.NewArrayAt(t, int(n), im.siteAt(im.cur.m, pc-1, what))
 		case OpALoadInt:
-			i := popInt()
-			arr := popRef()
-			im.checkIndex(m, pc-1, arr, i)
-			pushInt(int64(space.WordAt(arr, int(i))))
+			sp--
+			arr, i := rv[sp-1], iv[sp]
+			if arr == gcassert.Nil || uint64(i) >= uint64(space.ArrayLen(arr)) {
+				return im.indexTrap(pc-1, steps, arr, i)
+			}
+			rv[sp-1] = gcassert.Nil
+			iv[sp-1] = int64(space.WordAt(arr, int(i)))
 		case OpALoadRef:
-			i := popInt()
-			arr := popRef()
-			im.checkIndex(m, pc-1, arr, i)
-			pushRef(space.RefAt(arr, int(i)))
+			sp--
+			arr, i := rv[sp-1], iv[sp]
+			if arr == gcassert.Nil || uint64(i) >= uint64(space.ArrayLen(arr)) {
+				return im.indexTrap(pc-1, steps, arr, i)
+			}
+			rv[sp-1] = space.RefAt(arr, int(i))
 		case OpAStoreInt:
-			v := popInt()
-			i := popInt()
-			arr := popRef()
-			im.checkIndex(m, pc-1, arr, i)
-			space.SetWordAt(arr, int(i), uint64(v))
+			sp -= 3
+			arr, i := rv[sp], iv[sp+1]
+			if arr == gcassert.Nil || uint64(i) >= uint64(space.ArrayLen(arr)) {
+				return im.indexTrap(pc-1, steps, arr, i)
+			}
+			rv[sp] = gcassert.Nil
+			space.SetWordAt(arr, int(i), uint64(iv[sp+2]))
 		case OpAStoreRef:
-			v := popRef()
-			i := popInt()
-			arr := popRef()
-			im.checkIndex(m, pc-1, arr, i)
+			sp -= 3
+			arr, i, v := rv[sp], iv[sp+1], rv[sp+2]
+			if arr == gcassert.Nil || uint64(i) >= uint64(space.ArrayLen(arr)) {
+				return im.indexTrap(pc-1, steps, arr, i)
+			}
+			rv[sp], rv[sp+2] = gcassert.Nil, gcassert.Nil
 			space.SetRefAt(arr, int(i), v)
 		case OpLen:
-			arr := popRef()
+			arr := rv[sp-1]
 			if arr == gcassert.Nil {
-				im.fail(m, pc-1, "length of null array")
+				return im.trap(pc-1, steps, "length of null array")
 			}
-			pushInt(int64(space.ArrayLen(arr)))
+			rv[sp-1] = gcassert.Nil
+			iv[sp-1] = int64(space.ArrayLen(arr))
 		case OpNewObj:
-			pushRef(im.th.NewAt(im.typeIDs[in.A], im.siteAt(m, pc-1, im.Unit.Classes[in.A].Name)))
+			im.safepoint(sp, steps)
+			rv[sp] = im.th.NewAt(im.typeIDs[in.A], im.siteAt(im.cur.m, pc-1, im.Unit.Classes[in.A].Name))
+			sp++
 		case OpAdd:
-			b, a := popInt(), popInt()
-			pushInt(a + b)
+			sp--
+			iv[sp-1] += iv[sp]
 		case OpSub:
-			b, a := popInt(), popInt()
-			pushInt(a - b)
+			sp--
+			iv[sp-1] -= iv[sp]
 		case OpMul:
-			b, a := popInt(), popInt()
-			pushInt(a * b)
+			sp--
+			iv[sp-1] *= iv[sp]
 		case OpDiv:
-			b, a := popInt(), popInt()
-			if b == 0 {
-				im.fail(m, pc-1, "division by zero")
+			sp--
+			if iv[sp] == 0 {
+				return im.trap(pc-1, steps, "division by zero")
 			}
-			pushInt(a / b)
+			iv[sp-1] /= iv[sp]
 		case OpMod:
-			b, a := popInt(), popInt()
-			if b == 0 {
-				im.fail(m, pc-1, "division by zero")
+			sp--
+			if iv[sp] == 0 {
+				return im.trap(pc-1, steps, "division by zero")
 			}
-			pushInt(a % b)
+			iv[sp-1] %= iv[sp]
 		case OpNeg:
-			pushInt(-popInt())
+			iv[sp-1] = -iv[sp-1]
 		case OpNot:
-			if popInt() == 0 {
-				pushInt(1)
-			} else {
-				pushInt(0)
-			}
-		case OpEqInt, OpNeInt, OpLt, OpLe, OpGt, OpGe:
-			b, a := popInt(), popInt()
-			var r bool
-			switch in.Op {
-			case OpEqInt:
-				r = a == b
-			case OpNeInt:
-				r = a != b
-			case OpLt:
-				r = a < b
-			case OpLe:
-				r = a <= b
-			case OpGt:
-				r = a > b
-			case OpGe:
-				r = a >= b
-			}
-			if r {
-				pushInt(1)
-			} else {
-				pushInt(0)
-			}
+			iv[sp-1] = b2i(iv[sp-1] == 0)
+		case OpEqInt:
+			sp--
+			iv[sp-1] = b2i(iv[sp-1] == iv[sp])
+		case OpNeInt:
+			sp--
+			iv[sp-1] = b2i(iv[sp-1] != iv[sp])
+		case OpLt:
+			sp--
+			iv[sp-1] = b2i(iv[sp-1] < iv[sp])
+		case OpLe:
+			sp--
+			iv[sp-1] = b2i(iv[sp-1] <= iv[sp])
+		case OpGt:
+			sp--
+			iv[sp-1] = b2i(iv[sp-1] > iv[sp])
+		case OpGe:
+			sp--
+			iv[sp-1] = b2i(iv[sp-1] >= iv[sp])
 		case OpEqRef, OpNeRef:
-			b, a := popRef(), popRef()
-			r := a == b
-			if in.Op == OpNeRef {
-				r = !r
-			}
-			if r {
-				pushInt(1)
-			} else {
-				pushInt(0)
-			}
+			sp--
+			eq := rv[sp-1] == rv[sp]
+			rv[sp-1], rv[sp] = gcassert.Nil, gcassert.Nil
+			iv[sp-1] = b2i(eq == (in.Op == OpEqRef))
 		case OpJmp:
 			pc = in.A
 		case OpJz:
-			if popInt() == 0 {
+			sp--
+			if iv[sp] == 0 {
 				pc = in.A
 			}
 		case OpCall:
 			callee := im.Unit.Methods[in.A]
 			n := 1 + len(callee.Params)
-			base := sp - n
-			if gcassert.Ref(vals[base]) == gcassert.Nil {
-				im.fail(m, pc-1, "method call on null receiver (%s)", callee.Sig())
+			if rv[sp-n] == gcassert.Nil {
+				return im.trap(pc-1, steps, "method call on null receiver (%s)", callee.Sig())
 			}
-			args := make([]uint64, n)
-			copy(args, vals[base:sp])
-			// Pop the arguments (clearing ref shadows) before the call; the
-			// callee frame roots them.
-			for sp > base {
-				sp--
-				if fr.Get(sp) != gcassert.Nil {
-					fr.Set(sp, gcassert.Nil)
-				}
+			// The receiver and arguments become the callee's first locals
+			// where they lie.
+			if !im.reserve(callee, im.cur.base+sp-n, n) {
+				return im.trap(pc-1, steps, "stack overflow calling %s", callee.Sig())
 			}
-			ret := im.invoke(callee, args)
-			switch {
-			case callee.Ret.Kind == KVoid:
-			case callee.Ret.IsRef():
-				pushRef(gcassert.Ref(ret))
-			default:
-				pushInt(int64(ret))
+			im.calls = append(im.calls, activation{im.cur.m, pc, im.cur.base})
+			im.cur, im.sp, im.steps = activation{m: callee, base: im.cur.base + sp - n}, callee.NumLocals, steps
+			return true, nil
+		case OpRetVoid, OpRetInt, OpRetRef:
+			// The result goes to the callee's slot 0, which is the caller's
+			// next operand slot.
+			ri, rr := iv[sp-1], rv[sp-1]
+			clear(rv[:sp])
+			im.steps = steps
+			if len(im.calls) == 0 {
+				return false, nil
 			}
-		case OpRetVoid:
-			return 0
-		case OpRetInt:
-			return uint64(popInt())
-		case OpRetRef:
-			return uint64(popRef())
+			switch in.Op {
+			case OpRetInt:
+				iv[0] = ri
+			case OpRetRef:
+				rv[0] = rr
+			}
+			caller := im.calls[len(im.calls)-1]
+			im.calls = im.calls[:len(im.calls)-1]
+			im.sp = im.cur.base - caller.base
+			if in.Op != OpRetVoid {
+				im.sp++
+			}
+			im.cur = caller
+			return true, nil
 		case OpPrint:
-			fmt.Fprintln(im.out, popInt())
+			sp--
+			fmt.Fprintln(im.out, iv[sp])
 		case OpGC:
-			vm.Collect()
+			im.safepoint(sp, steps)
+			im.vm.Collect()
 		case OpAssertDead:
-			r := popRef()
+			sp--
+			r := rv[sp]
 			if r == gcassert.Nil {
-				im.fail(m, pc-1, "assertDead(null)")
+				return im.trap(pc-1, steps, "assertDead(null)")
 			}
-			vm.AssertDead(r)
+			rv[sp] = gcassert.Nil
+			im.safepoint(sp, steps)
+			im.vm.AssertDead(r)
 		case OpAssertUnshared:
-			r := popRef()
+			sp--
+			r := rv[sp]
 			if r == gcassert.Nil {
-				im.fail(m, pc-1, "assertUnshared(null)")
+				return im.trap(pc-1, steps, "assertUnshared(null)")
 			}
-			vm.AssertUnshared(r)
+			rv[sp] = gcassert.Nil
+			im.safepoint(sp, steps)
+			im.vm.AssertUnshared(r)
 		case OpAssertInstances:
-			vm.AssertInstances(im.typeIDs[in.A], in.K)
+			im.safepoint(sp, steps)
+			im.vm.AssertInstances(im.typeIDs[in.A], in.K)
 		case OpAssertOwnedBy:
-			ownee := popRef()
-			owner := popRef()
+			sp -= 2
+			owner, ownee := rv[sp], rv[sp+1]
 			if owner == gcassert.Nil || ownee == gcassert.Nil {
-				im.fail(m, pc-1, "assertOwnedBy(null)")
+				return im.trap(pc-1, steps, "assertOwnedBy(null)")
 			}
 			if owner == ownee {
-				im.fail(m, pc-1, "assertOwnedBy: an object cannot own itself")
+				return im.trap(pc-1, steps, "assertOwnedBy: an object cannot own itself")
 			}
-			vm.AssertOwnedBy(owner, ownee)
+			rv[sp], rv[sp+1] = gcassert.Nil, gcassert.Nil
+			im.safepoint(sp, steps)
+			im.vm.AssertOwnedBy(owner, ownee)
 		case OpRegionStart:
 			if im.th.InRegion() {
-				im.fail(m, pc-1, "startRegion: region already active")
+				return im.trap(pc-1, steps, "startRegion: region already active")
 			}
+			im.safepoint(sp, steps)
 			im.th.StartRegion()
 		case OpRegionAllDead:
 			if !im.th.InRegion() {
-				im.fail(m, pc-1, "assertAllDead: no active region")
+				return im.trap(pc-1, steps, "assertAllDead: no active region")
 			}
-			pushInt(int64(im.th.AssertAllDead()))
+			im.safepoint(sp, steps)
+			iv[sp] = int64(im.th.AssertAllDead())
+			sp++
 		default:
-			im.fail(m, pc-1, "internal: bad opcode %s", in.Op)
+			return im.trap(pc-1, steps, "internal: bad opcode %s", in.Op)
 		}
-	}
-}
-
-func (im *Image) checkIndex(m *MethodInfo, pc int, arr gcassert.Ref, i int64) {
-	if arr == gcassert.Nil {
-		im.fail(m, pc, "null array dereference")
-	}
-	if n := int64(im.vm.Space().ArrayLen(arr)); i < 0 || i >= n {
-		im.fail(m, pc, "array index %d out of range [0,%d)", i, n)
 	}
 }

@@ -10,11 +10,14 @@ import "fmt"
 //   - only applies ref ops to refs and int ops to ints,
 //   - loads/stores locals within range and with the declared ref-ness,
 //   - jumps only to valid targets, with consistent stack shapes at joins,
-//   - returns with the method's declared kind.
+//   - returns with the method's declared kind,
+//   - lays out this and the parameters as its first locals, with their kinds.
 //
-// The interpreter's shadow-root bookkeeping relies on exactly these
-// properties, so Load verifies every method before running guest code;
-// the optimizer's output is additionally verified in tests.
+// The interpreter relies on exactly these properties — it tests neither pc
+// nor operand depth nor slot kind at run time, and it keeps references only
+// in the slots the collector scans — so Load verifies every method before
+// running guest code; the optimizer's output is additionally verified in
+// tests.
 
 // vkind is the abstract type of one stack slot.
 type vkind uint8
@@ -108,6 +111,17 @@ func verifyMethod(u *Unit, m *MethodInfo) error {
 	}
 	if len(m.RefSlot) != m.NumLocals {
 		return fail(0, "RefSlot table size %d != NumLocals %d", len(m.RefSlot), m.NumLocals)
+	}
+	// A call leaves the receiver and arguments where the caller pushed them
+	// and makes them the callee's first locals, so those must have the
+	// parameters' kinds.
+	if m.NumLocals < 1+len(m.Params) || m.MaxStack < 0 {
+		return fail(0, "%d locals, %d stack slots for this and %d parameters", m.NumLocals, m.MaxStack, len(m.Params))
+	}
+	for i, isRef := range m.RefSlot[:1+len(m.Params)] {
+		if isRef != (i == 0 || m.Params[i-1].IsRef()) {
+			return fail(0, "local %d is %v-ref, its parameter is not", i, isRef)
+		}
 	}
 
 	// states[pc] is the stack shape on entry to pc; nil = not yet reached.

@@ -131,6 +131,18 @@ func TestVerifyRejectsCorruptedCode(t *testing.T) {
 			m.MaxStack = 1
 		})
 	})
+	// A call makes the caller's top operand slots the callee's first locals,
+	// so a method must have them, with the kinds its signature declares.
+	t.Run("no-local-for-this", func(t *testing.T) {
+		mutate(t, "0 locals", func(m *MethodInfo) {
+			m.NumLocals, m.RefSlot = 0, nil
+		})
+	})
+	t.Run("this-as-int", func(t *testing.T) {
+		mutate(t, "local 0 is false-ref", func(m *MethodInfo) {
+			m.RefSlot[0] = false
+		})
+	})
 }
 
 func TestVerifyRejectsInconsistentJoin(t *testing.T) {

@@ -77,6 +77,31 @@ func TestFrameAddTruncate(t *testing.T) {
 	}
 }
 
+// Resize moves the end of the scanned window over slots the caller owns: a
+// slot above a shrunk window is no root, comes back as it was left, and
+// survives the reallocation of a growing Resize.
+func TestFrameResize(t *testing.T) {
+	r := newRT(t, Config{})
+	node := r.Define("Node", heap.Field{Name: "next", Ref: true})
+	th := r.NewThread("main")
+	fr := th.Push(2)
+	slots := fr.Resize(2)
+	slots[0], slots[1] = th.New(node), th.New(node)
+	kept, dropped := slots[0], slots[1]
+	fr.Resize(1)
+	r.Collect()
+	if !r.Space().Contains(kept) || r.Space().Contains(dropped) {
+		t.Fatalf("after shrinking to 1 slot: kept live %v, dropped live %v", r.Space().Contains(kept), r.Space().Contains(dropped))
+	}
+	if got := fr.Resize(2)[1]; got != dropped {
+		t.Errorf("slot 1 came back as %v, the caller left %v", got, dropped)
+	}
+	grown := fr.Resize(100)
+	if fr.Len() != 100 || grown[0] != kept || grown[99] != heap.Nil {
+		t.Errorf("after growing: len %d, slot 0 %v (want %v), slot 99 %v", fr.Len(), grown[0], kept, grown[99])
+	}
+}
+
 func TestAllocTriggersGCAndOOM(t *testing.T) {
 	r := newRT(t, Config{HeapBytes: 2 * heap.BlockBytes})
 	th := r.NewThread("main")

@@ -82,6 +82,26 @@ func (f *Frame) Truncate(n int) {
 	f.slots = f.slots[:n]
 }
 
+// Resize sets the frame's scanned window to its first n slots and returns
+// them, for a caller that runs its own stack inside one frame and writes the
+// slots directly. Within capacity nothing is written: slots the caller left
+// above a smaller window come back as they were, so the caller clears what
+// it pops. Past capacity the backing array is reallocated (new slots Nil)
+// and every slice returned earlier is stale.
+func (f *Frame) Resize(n int) []heap.Addr {
+	if n > cap(f.slots) {
+		f.grow(n)
+	}
+	f.slots = f.slots[:n]
+	return f.slots
+}
+
+func (f *Frame) grow(n int) {
+	grown := make([]heap.Addr, max(n, 2*cap(f.slots)))
+	copy(grown, f.slots[:cap(f.slots)])
+	f.slots = grown
+}
+
 // New allocates an object of type typ, collecting (and, in generational
 // mode, escalating from minor to full collection) when the heap is
 // exhausted. It panics with *OOMError if memory cannot be found.
