@@ -1,7 +1,7 @@
 package gcassert_test
 
-// Tests for the cost-attribution and heap-pressure layer: the differential
-// property that parallel cost shards merge to the sequential totals, the
+// Tests for the cost-attribution and heap-pressure layer: per-kind check
+// counts that match the engine's own counters, the
 // trigger explainer's wording across collection reasons, the mutator-side
 // pressure stats, and the live SSE stream under concurrent collections.
 
@@ -16,111 +16,94 @@ import (
 	"time"
 
 	"gcassert"
+	"gcassert/internal/core"
 )
 
-// runCostRounds drives one VM through a deterministic randomized workload
-// (same shape as the parallel-mark differential) with cost attribution on,
-// returning each round's per-kind check counts. Every VM given the same
-// seed performs the identical operation sequence, so the cost rows are
-// comparable round-for-round across mark widths.
-func runCostRounds(t *testing.T, seed int64, workers int) []map[string]uint64 {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	vm := gcassert.New(gcassert.Options{
-		HeapBytes:       4 << 20,
-		Infrastructure:  true,
-		Reporter:        &gcassert.CollectingReporter{},
-		Workers:         workers,
-		CostAttribution: true,
-	})
-	node := vm.Define("Node",
-		gcassert.Field{Name: "a", Ref: true},
-		gcassert.Field{Name: "b", Ref: true},
-		gcassert.Field{Name: "v"})
-	vm.AssertInstances(node, 150)
-	th := vm.NewThread("main")
-	fr := th.Push(24)
-
-	var rounds []map[string]uint64
-	for round := 0; round < 5; round++ {
-		for i := 0; i < 200; i++ {
-			a := th.New(node)
-			fr.Set(rng.Intn(24), a)
-			for j := 0; j < 24; j++ {
-				src := fr.Get(j)
-				if src != gcassert.Nil && rng.Intn(8) == 0 && vm.Space().TypeOf(src) == node {
-					vm.SetRef(src, rng.Intn(2), a)
-				}
-			}
-		}
-		for j := 0; j < 24; j++ {
-			a := fr.Get(j)
-			if a == gcassert.Nil {
-				continue
-			}
-			switch rng.Intn(6) {
-			case 0:
-				vm.AssertDead(a)
-				if rng.Intn(2) == 0 {
-					fr.Set(j, gcassert.Nil)
-				}
-			case 1:
-				vm.AssertUnshared(a)
-			case 2:
-				if o := fr.Get(rng.Intn(24)); o != gcassert.Nil && o != a {
-					vm.AssertOwnedBy(o, a)
-				}
-			}
-		}
-		for j := 0; j < 24; j++ {
-			if rng.Intn(3) == 0 {
-				fr.Set(j, gcassert.Nil)
-			}
-		}
-		col := vm.Collect()
-		if workers > 1 && col.Workers != workers {
-			t.Fatalf("seed %d round %d: ran with %d workers, want %d", seed, round, col.Workers, workers)
-		}
-		if col.Trigger.Why == "" {
-			t.Fatalf("seed %d round %d: collection has no trigger explanation", seed, round)
-		}
-		if len(col.AssertCost) == 0 {
-			t.Fatalf("seed %d round %d: collection carries no cost rows", seed, round)
-		}
-		checks := make(map[string]uint64, len(col.AssertCost))
-		for _, c := range col.AssertCost {
-			if c.Ns < 0 {
-				t.Fatalf("seed %d round %d: kind %s has negative attributed time %d",
-					seed, round, c.Kind, c.Ns)
-			}
-			checks[c.Kind] = c.Checks
-		}
-		rounds = append(rounds, checks)
-	}
-	return rounds
-}
-
-// TestAttributionDifferentialWorkers is the attribution layer's core
-// property: the per-worker cost shards of the parallel mark engine, merged,
-// must attribute exactly the same per-kind check counts as the sequential
-// reference marker on the identical workload — work counts are exact, only
-// the times are measurements. Three seeds, widths 2/4/8 against 1.
-func TestAttributionDifferentialWorkers(t *testing.T) {
+// TestAttributionCheckCountsAreExact drives a deterministic randomized
+// workload mixing all four assertion kinds with cost attribution on. Work
+// counts are exact, only the times are measurements: every collection's
+// per-kind check count must equal the engine's own counter delta across
+// that collection, in the kind's unit, and every collection must carry a
+// trigger explanation and non-negative attributed times.
+func TestAttributionCheckCountsAreExact(t *testing.T) {
+	var total [core.NumKinds]uint64
 	for _, seed := range []int64{1, 2, 3} {
-		want := runCostRounds(t, seed, 1)
-		for _, workers := range []int{2, 4, 8} {
-			got := runCostRounds(t, seed, workers)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d workers %d: %d rounds, sequential %d", seed, workers, len(got), len(want))
-			}
-			for round := range want {
-				for kind, n := range want[round] {
-					if got[round][kind] != n {
-						t.Errorf("seed %d workers %d round %d: %s checks = %d, sequential %d",
-							seed, workers, round, kind, got[round][kind], n)
+		rng := rand.New(rand.NewSource(seed))
+		vm := gcassert.New(gcassert.Options{
+			HeapBytes:       4 << 20,
+			Infrastructure:  true,
+			Reporter:        &gcassert.CollectingReporter{},
+			CostAttribution: true,
+		})
+		node := vm.Define("Node",
+			gcassert.Field{Name: "a", Ref: true},
+			gcassert.Field{Name: "b", Ref: true},
+			gcassert.Field{Name: "v"})
+		vm.AssertInstances(node, 150)
+		th := vm.NewThread("main")
+		fr := th.Push(24)
+
+		for round := 0; round < 5; round++ {
+			for i := 0; i < 200; i++ {
+				a := th.New(node)
+				fr.Set(rng.Intn(24), a)
+				for j := 0; j < 24; j++ {
+					src := fr.Get(j)
+					if src != gcassert.Nil && rng.Intn(8) == 0 && vm.Space().TypeOf(src) == node {
+						vm.SetRef(src, rng.Intn(2), a)
 					}
 				}
 			}
+			for j := 0; j < 24; j++ {
+				a := fr.Get(j)
+				if a == gcassert.Nil {
+					continue
+				}
+				switch rng.Intn(6) {
+				case 0:
+					vm.AssertDead(a)
+					if rng.Intn(2) == 0 {
+						fr.Set(j, gcassert.Nil)
+					}
+				case 1:
+					vm.AssertUnshared(a)
+				case 2:
+					if o := fr.Get(rng.Intn(24)); o != gcassert.Nil && o != a {
+						vm.AssertOwnedBy(o, a)
+					}
+				}
+			}
+			for j := 0; j < 24; j++ {
+				if rng.Intn(3) == 0 {
+					fr.Set(j, gcassert.Nil)
+				}
+			}
+			before := vm.AssertionStats()
+			col := vm.Collect()
+			after := vm.AssertionStats()
+			if col.Trigger.Why == "" {
+				t.Fatalf("seed %d round %d: collection has no trigger explanation", seed, round)
+			}
+			want, names := core.CheckDeltas(before, after), core.KindNames()
+			if len(col.AssertCost) != len(names) {
+				t.Fatalf("seed %d round %d: %d cost rows, want %d", seed, round, len(col.AssertCost), len(names))
+			}
+			for k, c := range col.AssertCost {
+				if c.Ns < 0 {
+					t.Errorf("seed %d round %d: kind %s has negative attributed time %d",
+						seed, round, c.Kind, c.Ns)
+				}
+				total[k] += c.Checks
+				if c.Kind != names[k] || c.Checks != want[k] {
+					t.Errorf("seed %d round %d: row %d is %s with %d checks, engine counted %d for %s",
+						seed, round, k, c.Kind, c.Checks, want[k], names[k])
+				}
+			}
+		}
+	}
+	for _, k := range []core.Kind{core.KindDead, core.KindInstances, core.KindUnshared, core.KindOwnedBy} {
+		if total[k] == 0 {
+			t.Errorf("the workload never performed a %s check", k)
 		}
 	}
 }

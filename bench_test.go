@@ -452,48 +452,13 @@ func BenchmarkMicroAssertOwnedBy(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelMark is the parallel-mark worker sweep: the featured
-// workloads build a live heap once, then every iteration re-marks the same
-// graph at the given width. mark-ms/op isolates the traced phase; compare
-// widths to read the speedup (≈1.0 on a single-CPU host — the sweep is
-// about scaling headroom, and CI runs it at -benchtime 1x as a smoke test).
-func BenchmarkParallelMark(b *testing.B) {
-	for _, name := range []string{"pseudojbb", "_209_db"} {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, width := range []int{1, 2, 4, 8} {
-			w, width := w, width
-			b.Run(fmt.Sprintf("%s/workers=%d", w.Name, width), func(b *testing.B) {
-				vm := gcassert.New(gcassert.Options{HeapBytes: w.Heap})
-				run := w.New(vm, false)
-				run(0) // build the live heap
-				vm.SetMarkWorkers(width)
-				vm.Collect() // warm: builds the engine and settles the live set
-				var markNs int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					col := vm.Collect()
-					markNs += col.MarkTime.Nanoseconds()
-					if col.Workers != width {
-						b.Fatalf("collection ran with %d workers, want %d", col.Workers, width)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(markNs)/1e6/float64(b.N), "mark-ms/op")
-			})
-		}
-	}
-}
-
 // BenchmarkAttributionOff verifies the acceptance criterion for the
 // cost-attribution layer: with CostAttribution disabled (the default), the
 // allocation fast path performs zero Go allocations — the per-thread
 // counters sit behind one nil-check — and a full-heap collection stays at
-// the collector's pre-existing 2-allocs/op baseline (the cost shards, the
-// trigger explainer, and the per-kind timers all hide behind one nil-check
-// per phase). Asserted in-line like BenchmarkProvenanceOff so `go test
+// the collector's pre-existing 2-allocs/op baseline (the trigger
+// explainer and the per-kind timers all hide behind one nil-check per
+// phase). Asserted in-line like BenchmarkProvenanceOff so `go test
 // -bench BenchmarkAttributionOff` fails loudly on a regression.
 func BenchmarkAttributionOff(b *testing.B) {
 	for _, infra := range []bool{false, true} {

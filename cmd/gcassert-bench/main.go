@@ -5,7 +5,6 @@
 // Usage:
 //
 //	gcassert-bench [-figure N] [-bench name] [-trials T] [-iters I] [-paper]
-//	               [-workers N]
 //	gcassert-bench -baseline run.json [flags]
 //	gcassert-bench -compare [-gate] old.json new.json
 //
@@ -14,17 +13,14 @@
 //	-figure 4|5    assertion overhead on _209_db and pseudojbb
 //	-bench name    restrict to one workload
 //	-paper         use the paper's full methodology (20 trials, 4 iterations)
-//	-workers N     mark-phase workers for every measured runtime (default 1,
-//	               the sequential reference marker)
 //
 // -baseline runs the baseline probe (per-trial base/census times, pause
-// percentiles, census overhead, parallel-mark speedup sweep) on the
-// assertion-bearing workloads and writes a versioned BENCH_run JSON document
-// to the file ("-" for stdout). Base and census trials are interleaved
-// A/B/A/B so machine drift cannot masquerade as configuration overhead, and
-// the document carries per-trial arrays plus a runner stamp so later
-// comparisons can test significance and know whether absolute times are
-// comparable.
+// percentiles, census overhead) on the assertion-bearing workloads and
+// writes a versioned BENCH_run JSON document to the file ("-" for stdout).
+// Base and census trials are interleaved A/B/A/B so machine drift cannot
+// masquerade as configuration overhead, and the document carries per-trial
+// arrays plus a runner stamp so later comparisons can test significance and
+// know whether absolute times are comparable.
 //
 // -compare diffs two run documents: Mann–Whitney significance per metric,
 // confident verdicts on machine-independent overhead ratios always and on
@@ -60,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	trials := fs.Int("trials", 0, "override number of trials")
 	iters := fs.Int("iters", 0, "override iterations per trial")
 	paper := fs.Bool("paper", false, "use the paper's full methodology (20 trials x 4 iterations)")
-	workers := fs.Int("workers", 1, "mark-phase workers for every measured runtime (1 = sequential)")
 	baseline := fs.String("baseline", "", "write a versioned BENCH_run JSON to this file and exit (\"-\" = stdout)")
 	compare := fs.Bool("compare", false, "compare two run documents (old.json new.json) and print the delta table")
 	gate := fs.Bool("gate", false, "with -compare: exit 3 when a confident regression is found")
@@ -123,7 +118,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *iters > 0 {
 		opt.Iterations = *iters
 	}
-	opt.Workers = *workers
 
 	suite := workloads.All()
 	if *name != "" {

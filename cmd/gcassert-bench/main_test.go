@@ -57,6 +57,7 @@ func TestRunExitCodes(t *testing.T) {
 	}{
 		{"version", []string{"-version"}, 0},
 		{"unknown flag", []string{"-definitely-not-a-flag"}, 2},
+		{"removed -workers flag", []string{"-workers", "2", "-bench", "no-such-workload"}, 2},
 		{"unknown figure", []string{"-figure", "7"}, 2},
 		{"stray positional", []string{"stray.json"}, 2},
 		{"gate without compare", []string{"-gate"}, 2},

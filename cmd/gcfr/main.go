@@ -141,23 +141,17 @@ func printBundle(w io.Writer, b flight.Bundle, maxCycles, top int) error {
 	} else {
 		fmt.Fprintln(w, "cycles:")
 	}
-	fmt.Fprintf(w, "  %4s %-14s %10s %8s %8s %8s %3s %s\n",
-		"gc", "reason", "total", "marked", "freed", "live", "wrk", "notes")
+	fmt.Fprintf(w, "  %4s %-14s %10s %8s %8s %8s %s\n",
+		"gc", "reason", "total", "marked", "freed", "live", "notes")
 	for i := range cys {
 		cy := &cys[i]
-		notes := cy.Fallback
-		if notes != "" {
-			notes = "fallback:" + notes
-		}
+		notes := ""
 		if n := violationsIn(b, cy.GC); n > 0 {
-			if notes != "" {
-				notes += " "
-			}
-			notes += fmt.Sprintf("%d violation(s)", n)
+			notes = fmt.Sprintf("%d violation(s)", n)
 		}
-		fmt.Fprintf(w, "  %4d %-14s %10s %8d %8d %8d %3d %s\n",
+		fmt.Fprintf(w, "  %4d %-14s %10s %8d %8d %8d %s\n",
 			cy.GC, cy.Reason, time.Duration(cy.TotalNs), cy.ObjectsMarked,
-			cy.ObjectsFreed, cy.ObjectsLive, cy.Workers, notes)
+			cy.ObjectsFreed, cy.ObjectsLive, notes)
 		for _, d := range cy.CensusDelta {
 			fmt.Fprintf(w, "       %+d %s (%+d words)\n", d.Objects, d.TypeName, d.Words)
 		}

@@ -13,8 +13,7 @@
 //
 // Usage:
 //
-//	mjload [-rps R] [-n N] [-heap MiB] [-workers N] [-slowest K] [-json]
-//	       program.mj
+//	mjload [-rps R] [-n N] [-heap MiB] [-slowest K] [-json] program.mj
 //	mjload -workload _209_db [flags]
 //	mjload -server URL [-tenants N] [-prefix NAME] [-keep] [flags] program.mj
 //
@@ -78,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rps := fs.Float64("rps", 200, "target arrival rate, requests per second (open loop)")
 	n := fs.Int("n", 1000, "number of requests to fire")
 	heapMB := fs.Int("heap", 0, "managed heap size in MiB (0 = 16 for programs, the workload's own size with -workload)")
-	workers := fs.Int("workers", 1, "mark-phase workers (1 = sequential marker)")
 	slowest := fs.Int("slowest", 3, "slowest requests to decompose pause-by-pause (0 = none)")
 	workload := fs.String("workload", "", "drive a bench workload iteration instead of an MJ program")
 	jsonOut := fs.Bool("json", false, "emit the report as JSON instead of text")
@@ -147,7 +145,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			rps:      *rps,
 			n:        *n,
 			heapMiB:  heapMiB,
-			workers:  *workers,
 			jsonOut:  *jsonOut,
 			src:      string(src),
 			slo:      sloSpec,
@@ -179,7 +176,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if heap == 0 {
 			heap = w.Heap
 		}
-		vm = newRuntime(heap, *workers, stderr)
+		vm = newRuntime(heap, stderr)
 		op = w.New(vm, w.HasAsserts)
 	} else {
 		src, err := os.ReadFile(fs.Arg(0))
@@ -193,7 +190,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if heap == 0 {
 			heap = 16 << 20
 		}
-		vm = newRuntime(heap, *workers, stderr)
+		vm = newRuntime(heap, stderr)
 		// Guest prints go nowhere: at hundreds of requests per second they
 		// would drown the report and distort the service time being measured.
 		im, err := minivm.Load(vm, unit, io.Discard)
@@ -229,11 +226,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func newRuntime(heapBytes, workers int, stderr io.Writer) *gcassert.Runtime {
+func newRuntime(heapBytes int, stderr io.Writer) *gcassert.Runtime {
 	return gcassert.New(gcassert.Options{
 		HeapBytes:       heapBytes,
 		Infrastructure:  true,
-		Workers:         workers,
 		Reporter:        gcassert.NewWriterReporter(stderr),
 		Telemetry:       true,
 		CostAttribution: true,

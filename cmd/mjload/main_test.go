@@ -21,6 +21,7 @@ func TestRunExitCodes(t *testing.T) {
 	}{
 		{"no args", nil, 2},
 		{"unknown flag", []string{"-definitely-not-a-flag"}, 2},
+		{"removed -workers flag", []string{"-workers", "2", badMJ}, 2},
 		{"program and workload together", []string{"-workload", "_209_db", "prog.mj"}, 2},
 		{"two programs", []string{"a.mj", "b.mj"}, 2},
 		{"zero rps", []string{"-rps", "0", "prog.mj"}, 2},

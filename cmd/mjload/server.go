@@ -29,7 +29,6 @@ type serverRun struct {
 	rps      float64
 	n        int
 	heapMiB  int
-	workers  int
 	jsonOut  bool
 	src      string
 	slo      *slo.Spec // attached to every tenant at creation when non-nil
@@ -205,7 +204,6 @@ func createServerTenant(client *http.Client, sr serverRun, i int) error {
 	id := sr.tenantName(i)
 	options := map[string]any{
 		"heap_mib": sr.heapMiB,
-		"workers":  sr.workers,
 	}
 	if sr.slo != nil {
 		options["slo"] = sr.slo

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	mjrun [-heap MiB] [-gen] [-stats] [-disasm] [-O] [-workers N]
+//	mjrun [-heap MiB] [-gen] [-stats] [-disasm] [-O]
 //	      [-provenance] [-fr] [-fr-dump file] [-explain] [-top]
 //	      [-serve addr] [-fleet url] [-fleet-every N] [-instance id]
 //	      program.mj
@@ -67,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stats := fs.Bool("stats", false, "print GC and assertion statistics at exit")
 	disasm := fs.Bool("disasm", false, "print the compiled bytecode and exit")
 	optimize := fs.Bool("O", false, "run the peephole bytecode optimizer")
-	workers := fs.Int("workers", 1, "mark-phase workers (1 = sequential marker)")
 	provenance := fs.Bool("provenance", false, "record every guest allocation's site (method:line) for violation reports and profiles")
 	fr := fs.Bool("fr", false, "arm the GC flight recorder (implies -provenance; dump with SIGQUIT or on violation)")
 	frDump := fs.String("fr-dump", "gcassert-fr.json", "file the flight recorder dumps bundles to (latest dump wins)")
@@ -86,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: mjrun [-heap MiB] [-gen] [-stats] [-disasm] [-O] [-workers N] [-provenance] [-fr] [-fr-dump file] [-explain] [-top] [-serve addr] [-fleet url] [-fleet-every N] [-instance id] program.mj")
+		fmt.Fprintln(stderr, "usage: mjrun [-heap MiB] [-gen] [-stats] [-disasm] [-O] [-provenance] [-fr] [-fr-dump file] [-explain] [-top] [-serve addr] [-fleet url] [-fleet-every N] [-instance id] program.mj")
 		return 2
 	}
 	dataErr := func(err error) int {
@@ -120,7 +119,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Infrastructure:  true,
 		Reporter:        gcassert.NewWriterReporter(stderr),
 		Generational:    *gen,
-		Workers:         *workers,
 		Provenance:      prov,
 		FlightRecorder:  *fr,
 		Telemetry:       observing,

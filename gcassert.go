@@ -60,12 +60,8 @@ type (
 	// registry with pause histogram, violation log, and HTTP surface.
 	// Obtain it with Runtime.Telemetry() on a telemetry-enabled runtime.
 	Telemetry = telemetry.Tracer
-	// WorkerStats is one parallel mark worker's activity in a Collection.
-	WorkerStats = collector.WorkerStats
 	// GCEvent is one structured GC trace record.
 	GCEvent = telemetry.Event
-	// WorkerMark is per-worker mark activity within a GCEvent.
-	WorkerMark = telemetry.WorkerMark
 	// PhaseSpan is one timed phase within a GCEvent.
 	PhaseSpan = telemetry.PhaseSpan
 	// KindCount is per-assertion-kind activity within a GCEvent.
@@ -182,14 +178,6 @@ type Options struct {
 	// Generational enables the sticky-mark-bit generational mode, in which
 	// assertions are checked only at full-heap collections (§2.2).
 	Generational bool
-	// Workers selects the number of mark-phase workers. 0 or 1 (the
-	// default) uses the sequential reference marker; n > 1 traces full
-	// collections on the work-stealing parallel mark engine, with assertion
-	// checks sharded per worker and violation paths reconstructed from
-	// parent breadcrumbs. Generational minor collections always mark
-	// sequentially. Runtimes with an OnViolation decider fall back to the
-	// sequential marker (the decider's reaction must apply at edge time).
-	Workers int
 	// MinorRatio is the number of minor collections between forced full
 	// collections in generational mode (default 4).
 	MinorRatio int
@@ -218,12 +206,11 @@ type Options struct {
 	// in N sited allocations is recorded (default 64).
 	ProvenanceSample int
 	// FlightRecorder enables the GC flight recorder: an always-on bounded
-	// ring of recent collection cycles (phase timings, per-worker mark
-	// stats, per-kind assertion activity, census deltas) and recent
-	// violations, dumpable on demand — Runtime.WriteFlightBundle, or
-	// /debug/gcassert/fr with Telemetry — or automatically on violation,
-	// as a self-contained JSON bundle embedding a pprof-format heap
-	// profile. See Runtime.Flight.
+	// ring of recent collection cycles (phase timings, per-kind assertion
+	// activity, census deltas) and recent violations, dumpable on demand —
+	// Runtime.WriteFlightBundle, or /debug/gcassert/fr with Telemetry — or
+	// automatically on violation, as a self-contained JSON bundle embedding
+	// a pprof-format heap profile. See Runtime.Flight.
 	FlightRecorder bool
 	// FlightCycles bounds the flight recorder's cycle ring (default 64).
 	FlightCycles int
@@ -313,7 +300,6 @@ func New(opts Options) *Runtime {
 		Policy:            opts.Policy,
 		Generational:      opts.Generational,
 		MinorRatio:        opts.MinorRatio,
-		Workers:           opts.Workers,
 		Telemetry:         opts.Telemetry,
 		TelemetryRingSize: opts.TelemetryRingSize,
 		CostAttribution:   opts.CostAttribution,

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"gcassert/internal/assertd"
 )
@@ -317,6 +318,50 @@ func TestAPIErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad program = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestHostileWorkersOptionIsIgnored: "workers" used to reach the collector
+// unclamped, and a collection at width 200000 did not finish in five minutes
+// — one unauthenticated create pinned the host. The option is gone, so the
+// key is unknown and ignored like any other: the tenant collects within the
+// deadline and its document does not echo the key back.
+func TestHostileWorkersOptionIsIgnored(t *testing.T) {
+	_, ts := testServer(t, assertd.Config{})
+	client := &http.Client{Timeout: 5 * time.Second}
+	post := func(path, ctype, body string, wantCode int) []byte {
+		t.Helper()
+		resp, err := client.Post(ts.URL+path, ctype, strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != wantCode {
+			t.Fatalf("POST %s = %d, want %d; body: %s", path, resp.StatusCode, wantCode, raw)
+		}
+		return raw
+	}
+	post("/tenants", "application/json", `{"id":"h","options":{"workers":200000}}`, http.StatusCreated)
+	post("/tenants/h/program", "text/plain", steadySrc, http.StatusOK)
+	var res assertd.DriveResult
+	if err := json.Unmarshal(post("/tenants/h/drive", "application/json", `{"requests":1,"collect":true}`, http.StatusOK), &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Requests != 1 || res.Failures != 0 {
+		t.Fatalf("drive = %+v, want one clean request", res)
+	}
+
+	var doc struct {
+		Options     map[string]any `json:"options"`
+		Collections uint64         `json:"collections"`
+	}
+	doJSON(t, "GET", ts.URL+"/tenants/h", nil, http.StatusOK, &doc)
+	if _, echoed := doc.Options["workers"]; echoed {
+		t.Errorf("tenant document carries a workers key: %v", doc.Options)
+	}
+	if doc.Collections == 0 {
+		t.Error("the drive collected nothing")
 	}
 }
 

@@ -27,8 +27,6 @@ type TenantOptions struct {
 	// HeapMiB sizes the tenant's managed heap in MiB (default
 	// Config.DefaultHeapMiB, clamped to [1, Config.MaxHeapMiB]).
 	HeapMiB int `json:"heap_mib,omitempty"`
-	// Workers selects the mark-phase worker count (0/1 sequential).
-	Workers int `json:"workers,omitempty"`
 	// Provenance selects allocation-site provenance: "", "off", "sampled",
 	// or "exhaustive".
 	Provenance string `json:"provenance,omitempty"`
@@ -281,7 +279,6 @@ func newTenant(s *Server, id string, topts TenantOptions) (*Tenant, error) {
 		Reporter:        core.FuncReporter(t.onViolation),
 		Policy:          pol,
 		Generational:    topts.Generational,
-		Workers:         topts.Workers,
 		Telemetry:       true,
 		CostAttribution: true,
 		Provenance:      topts.Provenance,

@@ -80,45 +80,6 @@ func measureWorkload(w Workload, opt Options, progress io.Writer) WorkloadRun {
 	return wr
 }
 
-// measureMarkSpeedup builds one live heap from the workload and re-marks it
-// at several worker widths, timing only the mark phase. The heap does not
-// change between collections, so every width traces the identical object
-// graph — the cleanest apples-to-apples mark comparison the harness can get.
-func measureMarkSpeedup(w Workload, opt Options) MarkSpeedupRun {
-	const reps = 5
-	vm := gcassert.New(gcassert.Options{HeapBytes: w.Heap})
-	run := w.New(vm, false)
-	for i := 0; i < opt.Iterations; i++ {
-		run(i)
-	}
-	out := MarkSpeedupRun{Name: w.Name}
-	var seqNs int64
-	for _, width := range []int{1, 2, 4, 8} {
-		vm.SetMarkWorkers(width)
-		vm.Collect() // warm: builds the engine and settles the live set
-		var markNs int64
-		var steals, marked int
-		for r := 0; r < reps; r++ {
-			col := vm.Collect()
-			markNs += col.MarkTime.Nanoseconds()
-			marked = col.ObjectsMarked
-			for _, ws := range col.PerWorker {
-				steals += ws.Steals
-			}
-		}
-		mean := markNs / reps
-		p := MarkWidthPoint{Workers: width, MarkNs: mean, Marked: marked, StealsMu: float64(steals) / reps}
-		if width == 1 {
-			seqNs = mean
-		}
-		if mean > 0 {
-			p.Speedup = float64(seqNs) / float64(mean)
-		}
-		out.Widths = append(out.Widths, p)
-	}
-	return out
-}
-
 // measureAttribution runs one workload with its assertions armed and cost
 // attribution on, folding the run's telemetry events into cumulative
 // per-kind cost rows and the closing pressure snapshot.
@@ -188,15 +149,6 @@ func MeasureBaseline(suite []Workload, opt Options, progress io.Writer) *RunDoc 
 				w.Name, opt.Trials, opt.Iterations)
 		}
 		doc.Workloads = append(doc.Workloads, measureWorkload(w, opt, progress))
-	}
-	for _, w := range suite {
-		if !w.HasAsserts {
-			continue
-		}
-		if progress != nil {
-			fmt.Fprintf(progress, "mark speedup %-12s (widths 1,2,4,8 on %d CPUs)\n", w.Name, doc.Runner.CPUs)
-		}
-		doc.MarkSpeedup = append(doc.MarkSpeedup, measureMarkSpeedup(w, opt))
 	}
 	for _, w := range suite {
 		if !w.HasAsserts {

@@ -69,9 +69,6 @@ type Options struct {
 	Trials int
 	// Iterations per trial; the last is the measured one (paper: 4).
 	Iterations int
-	// Workers is the mark-phase worker count for every measured runtime
-	// (0 or 1 = the sequential reference marker).
-	Workers int
 }
 
 // DefaultOptions returns a scaled-down version of the paper's methodology
@@ -114,7 +111,6 @@ func runTrial(w Workload, mode Mode, opt Options, res *Result) {
 	vm := gcassert.New(gcassert.Options{
 		HeapBytes:      w.Heap,
 		Infrastructure: mode != Base,
-		Workers:        opt.Workers,
 	})
 	run := w.New(vm, mode == WithAssertions)
 	for i := 0; i < opt.Iterations-1; i++ {

@@ -81,21 +81,6 @@ type WorkloadRun struct {
 	LiveWordsMatch  bool   `json:"live_words_match"`
 }
 
-// MarkSpeedupRun is the parallel-mark worker sweep for one workload.
-type MarkSpeedupRun struct {
-	Name   string           `json:"name"`
-	Widths []MarkWidthPoint `json:"widths"`
-}
-
-// MarkWidthPoint is one worker width in the sweep.
-type MarkWidthPoint struct {
-	Workers  int     `json:"workers"`
-	MarkNs   int64   `json:"mark_ns"`
-	Speedup  float64 `json:"speedup"`
-	Marked   int     `json:"objects_marked"`
-	StealsMu float64 `json:"steals_mean"`
-}
-
 // AssertCostRun is the cost-attribution profile of one assertion-enabled
 // workload run.
 type AssertCostRun struct {
@@ -156,11 +141,10 @@ type RunDoc struct {
 	Iterations    int        `json:"iterations"`
 	Runner        RunnerMeta `json:"runner"`
 
-	Workloads   []WorkloadRun    `json:"workloads"`
-	MarkSpeedup []MarkSpeedupRun `json:"mark_speedup,omitempty"`
-	AssertCost  []AssertCostRun  `json:"assert_cost,omitempty"`
-	AllocRate   []AllocRateRun   `json:"alloc_rate,omitempty"`
-	Service     []ServiceRun     `json:"service,omitempty"`
+	Workloads  []WorkloadRun   `json:"workloads"`
+	AssertCost []AssertCostRun `json:"assert_cost,omitempty"`
+	AllocRate  []AllocRateRun  `json:"alloc_rate,omitempty"`
+	Service    []ServiceRun    `json:"service,omitempty"`
 }
 
 // Workload returns the named workload's record, or nil.

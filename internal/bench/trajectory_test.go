@@ -41,9 +41,9 @@ func TestMeasureBaselineInterleavesAndPairs(t *testing.T) {
 	if w.BaseMedianNs <= 0 || w.CensusMedianNs <= 0 {
 		t.Error("medians unpopulated")
 	}
-	if len(doc.MarkSpeedup) != 1 || len(doc.AssertCost) != 1 || len(doc.AllocRate) != 1 {
-		t.Errorf("auxiliary sections missing: %d/%d/%d",
-			len(doc.MarkSpeedup), len(doc.AssertCost), len(doc.AllocRate))
+	if len(doc.AssertCost) != 1 || len(doc.AllocRate) != 1 {
+		t.Errorf("auxiliary sections missing: %d/%d",
+			len(doc.AssertCost), len(doc.AllocRate))
 	}
 }
 

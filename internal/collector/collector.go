@@ -19,7 +19,6 @@ package collector
 import (
 	"time"
 
-	"gcassert/internal/collector/parmark"
 	"gcassert/internal/heap"
 )
 
@@ -76,19 +75,6 @@ type Hooks interface {
 	PostMark(c *Collector)
 }
 
-// ParallelHooks is an optional extension of Hooks implemented by engines
-// whose per-edge checks can run sharded across parallel mark workers. When
-// the collector's worker count is above one and the hooks implement this
-// interface, the mark phase runs on the parmark engine; otherwise it falls
-// back to the sequential reference marker.
-type ParallelHooks interface {
-	Hooks
-	// ParallelChecks returns the check binding for one collection at the
-	// given worker count (gc is the collection's sequence number), or nil
-	// to demand the sequential marker for this cycle.
-	ParallelChecks(workers int, gc uint64) parmark.Checks
-}
-
 // Collector drives collections over a Space.
 type Collector struct {
 	space *heap.Space
@@ -100,13 +86,6 @@ type Collector struct {
 	hooks     Hooks
 	costHooks CostHooks
 	infra     bool
-
-	// workers is the mark-phase worker count (1 = sequential marker); par
-	// is the lazily created parallel engine, parRoots its reusable root
-	// buffer.
-	workers  int
-	par      *parmark.Engine
-	parRoots []parmark.Root
 
 	// stack is the mark worklist. In infrastructure mode entries may carry
 	// the visited bit (bit 0), which is guaranteed free by word alignment.
@@ -161,27 +140,12 @@ type Collector struct {
 // dispatch, which is exactly the paper's "Infrastructure" configuration
 // before any assertions are added.
 func New(space *heap.Space, roots RootScanner, hooks Hooks, infra bool) *Collector {
-	c := &Collector{space: space, roots: roots, hooks: hooks, infra: infra, workers: 1}
+	c := &Collector{space: space, roots: roots, hooks: hooks, infra: infra}
 	if ch, ok := hooks.(CostHooks); ok {
 		c.costHooks = ch
 	}
 	return c
 }
-
-// SetWorkers selects the mark-phase worker count. 1 (the default) runs the
-// sequential reference marker; n > 1 runs the work-stealing parallel mark
-// engine, provided the cycle supports it (hooks, if any, must implement
-// ParallelHooks, and sticky-mark collections always mark sequentially).
-// Callable between collections only.
-func (c *Collector) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	c.workers = n
-}
-
-// Workers returns the configured mark-phase worker count.
-func (c *Collector) Workers() int { return c.workers }
 
 // Space returns the collector's heap.
 func (c *Collector) Space() *heap.Space { return c.space }
@@ -229,21 +193,10 @@ func (c *Collector) Collect(reason Reason) Collection {
 		obs.PhaseBegin(PhaseMark)
 	}
 	t0 := time.Now()
-	parallel := false
-	if c.workers > 1 {
-		if c.KeepMarks {
-			col.Fallback = FallbackKeepMarks
-		} else {
-			parallel = c.markParallel(&col)
-		}
-	}
-	if !parallel {
-		if c.infra {
-			c.markInfra(&col)
-		} else {
-			c.markBase(&col)
-		}
-		col.Workers = 1
+	if c.infra {
+		c.markInfra(&col)
+	} else {
+		c.markBase(&col)
 	}
 	col.MarkTime = time.Since(t0)
 	if obs != nil {

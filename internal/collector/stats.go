@@ -3,12 +3,7 @@ package collector
 import (
 	"fmt"
 	"time"
-
-	"gcassert/internal/collector/parmark"
 )
-
-// WorkerStats is one parallel mark worker's activity in a collection.
-type WorkerStats = parmark.WorkerStats
 
 // AssertCost attributes one assertion kind's share of a collection: how many
 // checks the cycle performed for the kind and how long the kind's rare-path
@@ -91,17 +86,6 @@ type Collection struct {
 	WordsFreed   int
 	// ObjectsLive is the number of survivors after the sweep.
 	ObjectsLive int
-	// Workers is the number of mark-phase workers used (1 = the sequential
-	// reference marker).
-	Workers int
-	// PerWorker is per-worker mark activity; nil unless the cycle marked in
-	// parallel.
-	PerWorker []WorkerStats
-	// Fallback, on a cycle where the configured worker count exceeded one but
-	// the mark ran sequentially anyway, names why (one of the Fallback*
-	// constants). Empty when the cycle marked in parallel or when only one
-	// worker was configured to begin with.
-	Fallback string
 	// AssertCost attributes the cycle's assertion work per kind; nil unless
 	// the engine has cost attribution enabled (Options.CostAttribution).
 	AssertCost []AssertCost
@@ -115,21 +99,6 @@ type Collection struct {
 	// stays correct when marking goes concurrent.
 	Request string
 }
-
-// Reasons a cycle configured for parallel marking fell back to the
-// sequential marker. Telemetry exports them as the reason label of
-// gcassert_gc_mark_fallback_total.
-const (
-	// FallbackKeepMarks: sticky-mark (generational minor) collections always
-	// mark sequentially; the parallel engine assumes clear mark bits.
-	FallbackKeepMarks = "keep-marks"
-	// FallbackNonParallelHooks: the installed hooks do not implement
-	// ParallelHooks, so per-edge checks cannot be sharded.
-	FallbackNonParallelHooks = "non-parallel-hooks"
-	// FallbackDecider: the engine demanded the sequential marker for this
-	// cycle (a programmatic violation decider needs edge-time reactions).
-	FallbackDecider = "decider"
-)
 
 func (c Collection) String() string {
 	return fmt.Sprintf("GC#%d(%s): %v (own %v, mark %v, sweep %v) marked=%d freed=%d live=%d",

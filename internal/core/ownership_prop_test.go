@@ -8,8 +8,8 @@ package core_test
 // objects, the assert-ownedby and improper-ownership violation sets, the
 // ownee-check count and OwnedPairsLive; after every sweep the ownee side
 // table is checked against its invariant (DESIGN.md, side-table
-// invariant 2). It runs against the sequential marker, two mark workers and
-// generational mode (where minor collections sweep without the hooks).
+// invariant 2). It runs in full-heap and in generational mode (where minor
+// collections sweep without the hooks).
 
 import (
 	"fmt"
@@ -404,9 +404,7 @@ pin:
 
 	w.rep.Reset()
 	checked0 := w.vm.Engine().Stats().OwneesChecked
-	if col := w.vm.Collect(); w.vm.MarkWorkers() > 1 && col.Workers != w.vm.MarkWorkers() {
-		t.Fatalf("collection marked with %d workers (fallback %q), configured %d", col.Workers, col.Fallback, w.vm.MarkWorkers())
-	}
+	w.vm.Collect()
 
 	got := map[core.Kind]map[heap.Addr]bool{core.KindOwnedBy: {}, core.KindImproperOwnership: {}}
 	for _, v := range w.rep.Violations() {
@@ -465,7 +463,6 @@ func TestPropertyOwnershipDifferential(t *testing.T) {
 		cfg  rt.Config
 	}{
 		{"sequential", rt.Config{}},
-		{"workers=2", rt.Config{Workers: 2}},
 		{"generational", rt.Config{Generational: true}},
 	} {
 		mode := mode

@@ -1,10 +1,10 @@
 // Package flight is the GC flight recorder: an always-on bounded ring of
-// recent collection cycles — phase timings, per-worker mark statistics,
-// per-kind assertion activity, census deltas — plus a ring of recent
-// assertion violations, dumpable at any moment as a self-contained forensic
-// bundle. The bundle is a JSON document carrying the cycle timeline, the
-// violation log, and a heap profile in pprof protobuf format (allocation
-// site → live objects/bytes) that `go tool pprof` consumes directly.
+// recent collection cycles — phase timings, per-kind assertion activity,
+// census deltas — plus a ring of recent assertion violations, dumpable at
+// any moment as a self-contained forensic bundle. The bundle is a JSON
+// document carrying the cycle timeline, the violation log, and a heap
+// profile in pprof protobuf format (allocation site → live objects/bytes)
+// that `go tool pprof` consumes directly.
 //
 // The recorder answers the question the event trace and the census cannot:
 // when an assertion fires in production, what did the *last N collections*
@@ -38,14 +38,6 @@ type PhaseSpan struct {
 	DurNs int64  `json:"dur_ns"`
 }
 
-// WorkerSpan is one parallel mark worker's activity in one recorded cycle.
-type WorkerSpan struct {
-	Worker int   `json:"worker"`
-	Marked int   `json:"marked"`
-	Steals int   `json:"steals"`
-	DurNs  int64 `json:"dur_ns"`
-}
-
 // KindDelta is one assertion kind's activity during one recorded cycle.
 type KindDelta struct {
 	Kind       string `json:"kind"`
@@ -72,21 +64,18 @@ type TypeDelta struct {
 
 // Cycle is one recorded collection.
 type Cycle struct {
-	GC            uint64       `json:"gc"`
-	Reason        string       `json:"reason"`
-	StartUnixNs   int64        `json:"start_unix_ns"`
-	TotalNs       int64        `json:"total_ns"`
-	Phases        []PhaseSpan  `json:"phases,omitempty"`
-	RootsScanned  int          `json:"roots_scanned"`
-	ObjectsMarked int          `json:"objects_marked"`
-	ObjectsFreed  int          `json:"objects_freed"`
-	ObjectsLive   int          `json:"objects_live"`
-	WordsFreed    int          `json:"words_freed"`
-	Workers       int          `json:"workers"`
-	Fallback      string       `json:"fallback,omitempty"`
-	PerWorker     []WorkerSpan `json:"per_worker,omitempty"`
-	Kinds         []KindDelta  `json:"kinds,omitempty"`
-	CensusDelta   []TypeDelta  `json:"census_delta,omitempty"`
+	GC            uint64      `json:"gc"`
+	Reason        string      `json:"reason"`
+	StartUnixNs   int64       `json:"start_unix_ns"`
+	TotalNs       int64       `json:"total_ns"`
+	Phases        []PhaseSpan `json:"phases,omitempty"`
+	RootsScanned  int         `json:"roots_scanned"`
+	ObjectsMarked int         `json:"objects_marked"`
+	ObjectsFreed  int         `json:"objects_freed"`
+	ObjectsLive   int         `json:"objects_live"`
+	WordsFreed    int         `json:"words_freed"`
+	Kinds         []KindDelta `json:"kinds,omitempty"`
+	CensusDelta   []TypeDelta `json:"census_delta,omitempty"`
 	// Trigger explanation and per-kind cost attribution, stamped when the
 	// runtime runs with CostAttribution. Additive omitempty fields: schema
 	// version 1 bundles without them parse unchanged.
@@ -261,16 +250,8 @@ func (r *Recorder) GCEnd(col *collector.Collection) {
 		ObjectsFreed:  col.ObjectsFreed,
 		ObjectsLive:   col.ObjectsLive,
 		WordsFreed:    col.WordsFreed,
-		Workers:       col.Workers,
-		Fallback:      col.Fallback,
 	}
 	r.phases = nil
-	if len(col.PerWorker) > 0 {
-		cy.PerWorker = make([]WorkerSpan, len(col.PerWorker))
-		for i, ws := range col.PerWorker {
-			cy.PerWorker[i] = WorkerSpan{Worker: i, Marked: ws.Marked, Steals: ws.Steals, DurNs: ws.DurNs}
-		}
-	}
 	if r.statsFn != nil {
 		cy.Kinds = kindDeltas(r.engineBefore, r.statsFn())
 	}

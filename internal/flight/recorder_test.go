@@ -20,7 +20,7 @@ func playCycle(r *Recorder, seq uint64, live int) {
 	r.PhaseEnd(collector.PhaseMark, 5*time.Millisecond)
 	r.GCEnd(&collector.Collection{
 		Seq: seq, Reason: collector.ReasonForced,
-		TotalTime: 6 * time.Millisecond, ObjectsLive: live, Workers: 1,
+		TotalTime: 6 * time.Millisecond, ObjectsLive: live,
 	})
 }
 
@@ -68,21 +68,11 @@ func TestRecorderCycleDetail(t *testing.T) {
 	}}
 	r.PhaseBegin(collector.PhaseMark)
 	r.PhaseEnd(collector.PhaseMark, time.Millisecond)
-	r.GCEnd(&collector.Collection{
-		Seq: 0, Reason: collector.ReasonAllocFailure, Workers: 2,
-		Fallback:  collector.FallbackDecider,
-		PerWorker: []collector.WorkerStats{{Marked: 9, Steals: 1, DurNs: 10}},
-	})
+	r.GCEnd(&collector.Collection{Seq: 0, Reason: collector.ReasonAllocFailure})
 
 	cy := r.Cycles()[0]
-	if cy.Fallback != "decider" {
-		t.Errorf("Fallback = %q", cy.Fallback)
-	}
 	if len(cy.Phases) != 1 || cy.Phases[0].Phase != collector.PhaseMark.String() {
 		t.Errorf("Phases = %+v", cy.Phases)
-	}
-	if len(cy.PerWorker) != 1 || cy.PerWorker[0].Marked != 9 {
-		t.Errorf("PerWorker = %+v", cy.PerWorker)
 	}
 	var dead *KindDelta
 	for i := range cy.Kinds {
@@ -102,7 +92,7 @@ func TestRecorderCycleDetail(t *testing.T) {
 	snap = heapdump.Snapshot{GC: 1, Types: []heapdump.TypeCensus{
 		{TypeName: "Node", Objects: 1, Words: 4},
 	}}
-	r.GCEnd(&collector.Collection{Seq: 1, Reason: collector.ReasonForced, Workers: 1})
+	r.GCEnd(&collector.Collection{Seq: 1, Reason: collector.ReasonForced})
 	cy = r.Cycles()[1]
 	if len(cy.CensusDelta) != 1 || cy.CensusDelta[0].Objects != -2 || cy.CensusDelta[0].Words != -8 {
 		t.Errorf("shrinking CensusDelta = %+v", cy.CensusDelta)

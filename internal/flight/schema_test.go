@@ -49,6 +49,25 @@ func TestReadBundleAcceptsOlderSchema(t *testing.T) {
 	}
 }
 
+// Bundles written while the collector had a parallel marker carry workers,
+// fallback and per_worker on every cycle. No reader rejects unknown keys, so
+// they still read; the keys are dropped.
+func TestReadBundleIgnoresRemovedWorkerKeys(t *testing.T) {
+	old := `{"schema_version":2,"captured_unix_ns":5,"trigger":"violation",
+	         "total_cycles":1,"cycles":[{"gc":7,"reason":"alloc-failure","total_ns":900,
+	           "objects_marked":40,"objects_live":38,"workers":2,"fallback":"decider",
+	           "per_worker":[{"worker":0,"marked":25,"steals":3,"dur_ns":400},
+	                         {"worker":1,"marked":15,"steals":1,"dur_ns":380}]}],
+	         "total_violations":0,"violations":[]}`
+	b, err := ReadBundle(strings.NewReader(old))
+	if err != nil {
+		t.Fatalf("bundle with the removed worker keys rejected: %v", err)
+	}
+	if len(b.Cycles) != 1 || b.Cycles[0].GC != 7 || b.Cycles[0].ObjectsMarked != 40 || b.Cycles[0].ObjectsLive != 38 {
+		t.Fatalf("cycle decoded as %+v", b.Cycles)
+	}
+}
+
 func TestReadBundleRejectsUnknownSchema(t *testing.T) {
 	cases := []string{
 		`{"schema_version":99}`,

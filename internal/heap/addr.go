@@ -7,6 +7,10 @@
 // array; all objects are 8-byte aligned, so the three low bits of every
 // address are zero. The collector exploits bit 0 for its path-reconstruction
 // worklist trick, exactly as the paper does with word-aligned Java objects.
+//
+// A Space, with its side tables, is touched by one goroutine at a time:
+// the mutator and the stop-the-world collector take turns on the runtime's
+// goroutine, so every access is a plain load or store.
 package heap
 
 // Word and alignment constants for the managed space.

@@ -27,9 +27,6 @@ type RunOptions struct {
 	// placed near the end of the program are still checked (on by default
 	// in CompileAndRun).
 	FinalCollect bool
-	// Workers selects the mark-phase worker count (0 or 1 = sequential
-	// marker; n > 1 = work-stealing parallel mark engine).
-	Workers int
 	// Provenance enables exhaustive allocation-site provenance: every `new`
 	// the guest executes is recorded against its method and source line, so
 	// violations report who allocated the offending object and the census
@@ -81,7 +78,6 @@ func CompileAndRun(src string, opt RunOptions) (*Result, error) {
 		Infrastructure: true,
 		Reporter:       rep,
 		Generational:   opt.Generational,
-		Workers:        opt.Workers,
 		Provenance:     prov,
 		FlightRecorder: opt.FlightRecorder,
 	})

@@ -125,7 +125,6 @@ func TestRootPrecision(t *testing.T) {
 	srcs["deep-then-shallow"] = deepThenShallow
 	modes := map[string]gcassert.Options{
 		"sequential":   {},
-		"workers-2":    {Workers: 2},
 		"generational": {Generational: true},
 	}
 	for mode, opts := range modes {

@@ -62,11 +62,6 @@ type Config struct {
 	Telemetry bool
 	// TelemetryRingSize bounds the retained GC event trace (default 1024).
 	TelemetryRingSize int
-	// Workers selects the number of mark-phase workers for full collections.
-	// 0 or 1 (the default) uses the sequential reference marker; n > 1 runs
-	// the work-stealing parallel mark engine. Generational minor collections
-	// always mark sequentially (they are sticky-mark partial traces).
-	Workers int
 	// ProvenanceSample enables allocation-site provenance: 0 (the default)
 	// disables it, 1 records every sited allocation (exhaustive), N > 1
 	// records every Nth (sampled). With provenance on, violations report the
@@ -76,10 +71,10 @@ type Config struct {
 	// allocations and nothing on plain ones.
 	ProvenanceSample int
 	// FlightRecorder enables the GC flight recorder: an always-on bounded
-	// ring of recent collection cycles (phase timings, per-worker mark
-	// stats, census deltas, assertion activity) plus recent violations,
-	// dumpable on demand as a self-contained forensic bundle with a
-	// pprof-format heap profile. See Runtime.Flight.
+	// ring of recent collection cycles (phase timings, census deltas,
+	// assertion activity) plus recent violations, dumpable on demand as a
+	// self-contained forensic bundle with a pprof-format heap profile. See
+	// Runtime.Flight.
 	FlightRecorder bool
 	// FlightCycles bounds the flight recorder's cycle ring (default 64).
 	FlightCycles int
@@ -215,9 +210,6 @@ func New(cfg Config) *Runtime {
 		hooks = r.engine
 	}
 	r.gc = collector.New(r.space, (*rootScanner)(r), hooks, cfg.Infrastructure)
-	if cfg.Workers > 1 {
-		r.gc.SetWorkers(cfg.Workers)
-	}
 	if r.tel != nil {
 		r.gc.Observer = newTelemetrySink(r, r.tel)
 	}
@@ -322,15 +314,6 @@ func (r *Runtime) AllocSite(a heap.Addr) (heap.SiteID, string) {
 // every other mutator-side call; with tracing off it is simply never
 // called.
 func (r *Runtime) SetRequestTag(tag string) { r.gc.SetRequestTag(tag) }
-
-// SetMarkWorkers changes the mark-phase worker count for subsequent full
-// collections (1 = the sequential reference marker). It may be called
-// between collections — benchmarks use it to re-mark the same heap at
-// several widths.
-func (r *Runtime) SetMarkWorkers(n int) { r.gc.SetWorkers(n) }
-
-// MarkWorkers returns the configured mark-phase worker count.
-func (r *Runtime) MarkWorkers() int { return r.gc.Workers() }
 
 // Collect forces a full collection.
 func (r *Runtime) Collect() collector.Collection {

@@ -69,16 +69,6 @@ func (s *telemetrySink) GCEnd(col *collector.Collection) {
 		ObjectsFreed:  col.ObjectsFreed,
 		ObjectsLive:   col.ObjectsLive,
 		WordsFreed:    col.WordsFreed,
-		Workers:       col.Workers,
-		Fallback:      col.Fallback,
-	}
-	if len(col.PerWorker) > 0 {
-		ev.PerWorker = make([]telemetry.WorkerMark, len(col.PerWorker))
-		for i, ws := range col.PerWorker {
-			ev.PerWorker[i] = telemetry.WorkerMark{
-				Worker: i, Marked: ws.Marked, Steals: ws.Steals, DurNs: ws.DurNs,
-			}
-		}
 	}
 	s.phases = nil
 	if s.r.engine != nil {

@@ -59,19 +59,6 @@ type ThreadAlloc struct {
 	Words   uint64 `json:"words"`
 }
 
-// WorkerMark is one mark worker's activity within a parallel-marked
-// collection.
-type WorkerMark struct {
-	// Worker is the worker index.
-	Worker int `json:"worker"`
-	// Marked is the number of objects whose mark-bit claim this worker won.
-	Marked int `json:"marked"`
-	// Steals is the number of work items this worker stole from others.
-	Steals int `json:"steals"`
-	// DurNs is the worker goroutine's wall-clock span in nanoseconds.
-	DurNs int64 `json:"dur_ns"`
-}
-
 // Event is the structured record of one collection cycle.
 type Event struct {
 	// Seq is the tracer-assigned monotonic sequence number (distinct from
@@ -96,16 +83,6 @@ type Event struct {
 	WordsFreed    int `json:"words_freed"`
 	// Kinds is per-assertion-kind activity (nil in Base mode).
 	Kinds []KindCount `json:"kinds,omitempty"`
-	// Workers is the number of mark-phase workers used (1 = sequential
-	// marker; 0 in events recorded before the field existed).
-	Workers int `json:"workers,omitempty"`
-	// Fallback, on collections configured for parallel marking that marked
-	// sequentially anyway, names why ("keep-marks", "non-parallel-hooks" or
-	// "decider" — see the collector's Fallback* constants). Empty otherwise.
-	Fallback string `json:"fallback,omitempty"`
-	// PerWorker is per-worker mark activity; nil unless the collection
-	// marked in parallel.
-	PerWorker []WorkerMark `json:"per_worker,omitempty"`
 	// Trigger is the one-line trigger explanation (empty unless the runtime
 	// has cost attribution on).
 	Trigger string `json:"trigger,omitempty"`

@@ -139,19 +139,6 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 				Ts: us(p.StartUnixNs - epoch), Dur: us(p.DurNs),
 				Pid: 1, Tid: 1,
 			})
-			// Parallel-marked collections get one span per mark worker on
-			// its own lane, anchored at the mark phase's start.
-			if p.Phase == "mark" && len(e.PerWorker) > 0 {
-				for _, w := range e.PerWorker {
-					tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-						Name: fmt.Sprintf("mark worker %d", w.Worker),
-						Cat:  "gc-mark-worker", Ph: "X",
-						Ts: us(p.StartUnixNs - epoch), Dur: us(w.DurNs),
-						Pid: 1, Tid: 2 + w.Worker,
-						Args: map[string]any{"marked": w.Marked, "steals": w.Steals},
-					})
-				}
-			}
 		}
 	}
 	enc := json.NewEncoder(w)

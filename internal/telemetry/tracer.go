@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"io"
-	"strconv"
 	"sync"
 	"time"
 
@@ -153,26 +152,6 @@ func (t *Tracer) Record(ev *Event) {
 		if k.Violations != 0 {
 			t.reg.Counter("gcassert_assert_violations_total",
 				"Assertion violations detected, by kind.", Label{"kind", k.Kind}).Add(k.Violations)
-		}
-	}
-	if ev.Fallback != "" {
-		t.reg.Counter("gcassert_gc_mark_fallback_total",
-			"Collections that fell back from parallel to sequential marking, by reason.",
-			Label{"reason", ev.Fallback}).Inc()
-	}
-	if ev.Workers > 0 {
-		t.reg.Gauge("gcassert_gc_mark_workers",
-			"Mark-phase workers used by the most recent collection.").Set(int64(ev.Workers))
-		var steals uint64
-		for _, w := range ev.PerWorker {
-			steals += uint64(w.Steals)
-			t.reg.Counter("gcassert_gc_worker_marked_total",
-				"Objects marked, by parallel mark worker.",
-				Label{"worker", strconv.Itoa(w.Worker)}).Add(uint64(w.Marked))
-		}
-		if len(ev.PerWorker) > 0 {
-			t.reg.Counter("gcassert_gc_mark_steals_total",
-				"Work items stolen between mark workers across all parallel marks.").Add(steals)
 		}
 	}
 	// Cost attribution and pressure, when the runtime stamps them on events.

@@ -77,6 +77,22 @@ func TestFeedJSONRejectsGarbage(t *testing.T) {
 	}
 }
 
+// A server built while the collector had a parallel marker stamps workers,
+// fallback and per_worker on its event frames; a current gctop must keep
+// reading them.
+func TestFeedJSONIgnoresRemovedWorkerKeys(t *testing.T) {
+	m := New()
+	frame := `{"seq":9,"reason":"forced","total_ns":1200,"objects_live":5,
+	           "workers":4,"fallback":"keep-marks",
+	           "per_worker":[{"worker":0,"marked":5,"steals":0,"dur_ns":300}]}`
+	if err := m.FeedJSON([]byte(frame)); err != nil {
+		t.Fatalf("frame with the removed worker keys rejected: %v", err)
+	}
+	if m.Events() != 1 || m.last.Seq != 9 || m.last.ObjectsLive != 5 {
+		t.Fatalf("frame decoded as %+v", m.last)
+	}
+}
+
 // TestThreadDeltas pins the per-interval rate column: the second frame's
 // delta is the growth since the first, not the lifetime total.
 func TestThreadDeltas(t *testing.T) {

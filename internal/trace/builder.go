@@ -299,7 +299,6 @@ func (b *Builder) Finish(endNs int64) *Document {
 			"seq":      ev.Seq,
 			"reason":   ev.Reason,
 			"total_ns": ev.TotalNs,
-			"workers":  ev.Workers,
 			"freed":    ev.ObjectsFreed,
 			"live":     ev.ObjectsLive,
 		}
