@@ -57,6 +57,7 @@ import (
 
 	"gcassert"
 	"gcassert/internal/bench/workloads"
+	"gcassert/internal/heap"
 	"gcassert/internal/loadlab"
 	"gcassert/internal/minivm"
 	"gcassert/internal/slo"
@@ -104,6 +105,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	if *heapMB < 0 || *heapMB > heap.MaxHeapBytes>>20 {
+		return usage(fmt.Sprintf("-heap %d: a managed heap holds at most %d MiB", *heapMB, heap.MaxHeapBytes>>20))
+	}
 	if *server != "" {
 		if *workload != "" {
 			return usage("-server drives MJ programs only (no -workload)")

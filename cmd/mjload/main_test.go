@@ -25,6 +25,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"program and workload together", []string{"-workload", "_209_db", "prog.mj"}, 2},
 		{"two programs", []string{"a.mj", "b.mj"}, 2},
 		{"zero rps", []string{"-rps", "0", "prog.mj"}, 2},
+		{"heap an Addr cannot address", []string{"-heap", "8192", badMJ}, 2},
 		{"zero requests", []string{"-n", "0", "prog.mj"}, 2},
 		{"missing program", []string{"no-such-program.mj"}, 1},
 		{"compile error", []string{badMJ}, 1},

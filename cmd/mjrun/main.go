@@ -48,6 +48,7 @@ import (
 	"syscall"
 
 	"gcassert"
+	"gcassert/internal/heap"
 	"gcassert/internal/minivm"
 	"gcassert/internal/topview"
 	"gcassert/internal/version"
@@ -86,6 +87,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "usage: mjrun [-heap MiB] [-gen] [-stats] [-disasm] [-O] [-provenance] [-fr] [-fr-dump file] [-explain] [-top] [-serve addr] [-fleet url] [-fleet-every N] [-instance id] program.mj")
+		return 2
+	}
+	if *heapMB < 0 || *heapMB > heap.MaxHeapBytes>>20 {
+		fmt.Fprintf(stderr, "mjrun: -heap %d: a managed heap holds at most %d MiB\n", *heapMB, heap.MaxHeapBytes>>20)
 		return 2
 	}
 	dataErr := func(err error) int {

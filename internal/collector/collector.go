@@ -100,7 +100,7 @@ type Collector struct {
 	allFirstMarks bool
 
 	// KeepMarks makes the sweep retain survivors' mark bits (sticky marks),
-	// which the generational mode uses for minor collections.
+	// which the generational mode uses for all its collections.
 	KeepMarks bool
 	// Observer, if non-nil, receives collection-lifecycle callbacks
 	// (telemetry). The disabled path costs one nil-check per phase.
@@ -223,8 +223,8 @@ func (c *Collector) Collect(reason Reason) Collection {
 	col.ObjectsFreed = sw.ObjectsFreed
 	col.ObjectsLive = sw.ObjectsLive
 	col.WordsFreed = sw.WordsFreed
-	// Cost rows are harvested after the sweep: dead-verification counts
-	// accrue in the engine's free hook while the sweep runs.
+	// Cost rows are harvested after the sweep, which is where the
+	// dead-verification count (heap.Stats.DeadFreed) accrues.
 	if c.infra && c.costHooks != nil {
 		col.AssertCost = c.costHooks.CollectionCosts()
 	}

@@ -25,7 +25,7 @@ import (
 type costState struct {
 	// statsAt is the engine-stats snapshot taken at PreMark; CollectionCosts
 	// diffs against it after the sweep (dead verification accrues in the
-	// free hook while the sweep runs).
+	// sweep itself).
 	statsAt Stats
 	// ns accumulates per-kind slow-path time for the current cycle.
 	ns [NumKinds]int64
@@ -53,7 +53,7 @@ func (e *Engine) CollectionCosts() []collector.AssertCost {
 	if cs == nil {
 		return nil
 	}
-	checks := CheckDeltas(cs.statsAt, e.stats)
+	checks := CheckDeltas(cs.statsAt, e.Stats())
 	names := KindNames()
 	out := make([]collector.AssertCost, NumKinds)
 	for k := 0; k < NumKinds; k++ {

@@ -92,7 +92,7 @@ func BenchmarkOwnershipPhase(b *testing.B) {
 			next = (next + 7919) % ownees
 		}
 	}
-	for i := 0; i < 10; i++ { // settle worklist, free-list and side-table row growth
+	for i := 0; i < 10; i++ { // settle worklist, block-list and side-table row growth
 		mutate()
 		cycle()
 	}

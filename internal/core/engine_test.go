@@ -499,3 +499,87 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	}()
 	fn()
 }
+
+// TestDeadVerifiedIsCountedByTheSweep: the engine observes no reclamation
+// itself, so every asserted-dead object the sweep reclaims — small
+// cell or large span, normal or sticky sweep, unreachable on its own or cut
+// loose in the same cycle by the force-true reaction — counts exactly once in
+// DeadVerified, and the dead row of a cycle's AssertCost, harvested after
+// the sweep, includes it.
+func TestDeadVerifiedIsCountedByTheSweep(t *testing.T) {
+	dead := func(w *world, typ heap.TypeID, n int) heap.Addr {
+		a, ok := w.space.Allocate(typ, n)
+		if !ok {
+			t.Fatal("alloc failed")
+		}
+		w.eng.AssertDead(a)
+		return a
+	}
+	expect := func(t *testing.T, w *world, verified, violations uint64) {
+		t.Helper()
+		st := w.eng.Stats()
+		if st.DeadVerified != verified || st.DeadViolations != violations || w.space.Stats().DeadFreed != verified {
+			t.Fatalf("DeadVerified %d (heap DeadFreed %d), DeadViolations %d; want %d and %d",
+				st.DeadVerified, w.space.Stats().DeadFreed, st.DeadViolations, verified, violations)
+		}
+		if err := w.space.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("small cell", func(t *testing.T) {
+		w := newWorld(t)
+		dead(w, w.node, 0)
+		w.alloc(w.node) // dies unasserted: not counted
+		w.col.Collect("t")
+		expect(t, w, 1, 0)
+		w.col.Collect("t") // a freed cell's stale FlagDead is not seen again
+		expect(t, w, 1, 0)
+	})
+	t.Run("large span", func(t *testing.T) {
+		w := newWorld(t)
+		dead(w, heap.TWordArray, heap.BlockWords+1)
+		w.col.Collect("t")
+		expect(t, w, 1, 0)
+	})
+	t.Run("sticky sweep", func(t *testing.T) {
+		w := newWorld(t)
+		w.col.KeepMarks = true
+		keep := w.alloc(w.node)
+		w.root(keep)
+		dead(w, w.node, 0)
+		dead(w, heap.TWordArray, heap.BlockWords+1)
+		w.col.Collect("t")
+		if !w.space.Marked(keep) {
+			t.Fatal("sticky sweep cleared the survivor's mark")
+		}
+		expect(t, w, 2, 0)
+	})
+	t.Run("freed in the same cycle by force-true", func(t *testing.T) {
+		w := newWorldPolicy(t, DefaultPolicy().With(KindDead, ReactForce))
+		p := w.alloc(w.node)
+		w.root(p)
+		d := dead(w, w.node, 0)
+		w.space.SetRef(p, 0, d)
+		w.col.Collect("t")
+		if n := len(w.rep.ByKind(KindDead)); n != 1 || w.space.Contains(d) {
+			t.Fatalf("%d violations, object still allocated: %v", n, w.space.Contains(d))
+		}
+		expect(t, w, 1, 1)
+	})
+	t.Run("AssertCost dead row", func(t *testing.T) {
+		w := newWorld(t)
+		w.eng.EnableCostAttribution()
+		w.root(dead(w, w.node, 0)) // reachable: one violation
+		for i := 0; i < 3; i++ {
+			dead(w, w.node, 0)
+		}
+		col := w.col.Collect("t")
+		expect(t, w, 3, 1)
+		if row := col.AssertCost[KindDead]; row.Kind != KindDead.String() || row.Checks != 4 {
+			t.Fatalf("dead cost row = %+v, want 4 checks (3 verified + 1 violation)", row)
+		}
+		if row := w.col.Collect("t").AssertCost[KindDead]; row.Checks != 0 {
+			t.Fatalf("second cycle's dead row = %+v, want 0 checks", row)
+		}
+	})
+}

@@ -15,7 +15,7 @@ import (
 func (e *Engine) PreMark(c *collector.Collector) {
 	e.growTypeTables()
 	if cs := e.costs; cs != nil {
-		cs.reset(e.stats)
+		cs.reset(e.Stats())
 		t0 := time.Now()
 		e.ownershipPhase(c)
 		cs.addSince(KindOwnedBy, t0)

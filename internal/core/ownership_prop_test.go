@@ -8,7 +8,8 @@ package core_test
 // objects, the assert-ownedby and improper-ownership violation sets, the
 // ownee-check count and OwnedPairsLive; after every sweep the ownee side
 // table is checked against its invariant (DESIGN.md, side-table
-// invariant 2). It runs in full-heap and in generational mode (where minor
+// invariant 2) and the heap against its own (heap.Space.Verify, invariants
+// 1 and 3–7). It runs in full-heap and in generational mode (where minor
 // collections sweep without the hooks).
 
 import (
@@ -328,9 +329,12 @@ func (w *ownWorld) mutate(fresh int) {
 }
 
 // check compares the engine's registry with the model's and verifies the
-// side-table invariant.
+// side-table and heap-layout invariants.
 func (w *ownWorld) check(when string) {
 	w.t.Helper()
+	if err := w.vm.Space().Verify(); err != nil {
+		w.t.Fatalf("%s: heap invariant: %v", when, err)
+	}
 	eng := w.vm.Engine()
 	if err := eng.CheckOwneeTable(); err != nil {
 		w.t.Fatalf("%s: side-table invariant: %v", when, err)

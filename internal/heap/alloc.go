@@ -1,6 +1,9 @@
 package heap
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Allocate allocates an object of type t. For array kinds, arrayLen gives the
 // element count; for KindObject it must be 0. It returns the new object's
@@ -19,19 +22,25 @@ func (s *Space) Allocate(t TypeID, arrayLen int) (Addr, bool) {
 		return s.allocLarge(t, arrayLen, size)
 	}
 	class := classFor(size)
+	cellWords := classSizes[class]
 	for {
 		pl := s.partial[class]
 		for len(pl) > 0 {
 			bi := pl[len(pl)-1]
 			b := &s.blocks[bi]
-			if b.freeHead != Nil {
-				a := b.freeHead
-				b.freeHead = Addr(s.words[a.word()])
-				b.liveCells++
-				bitSet(b.allocBits, s.cellIndex(b, a))
-				s.initObject(a, t, arrayLen, classSizes[class])
-				return a, true
+			// Lowest clear bit from the cursor on: address-ordered reuse.
+			for w := int(b.cursor); w < len(b.allocBits); w++ {
+				if free := ^b.allocBits[w]; free != 0 {
+					c := w<<6 + bits.TrailingZeros64(free)
+					b.allocBits[w] |= free & -free
+					b.cursor = int32(w)
+					b.liveCells++
+					a := blockStart(bi) + Addr(c*cellWords*WordBytes)
+					s.initObject(a, t, arrayLen, cellWords)
+					return a, true
+				}
 			}
+			b.cursor = int32(len(b.allocBits))
 			pl = pl[:len(pl)-1]
 			s.partial[class] = pl
 		}
@@ -73,19 +82,4 @@ func (s *Space) initObject(a Addr, t TypeID, arrayLen, cellWords int) {
 	s.stats.WordsAllocated += uint64(cellWords)
 	s.stats.LiveObjects++
 	s.stats.LiveWords += uint64(cellWords)
-}
-
-// FreeWords reports how many words are currently free (free blocks plus free
-// cells in partial blocks). It is an O(blocks) diagnostic.
-func (s *Space) FreeWords() int {
-	free := len(s.freeBlocks) * BlockWords
-	for class := range s.partial {
-		cellWords := classSizes[class]
-		for _, bi := range s.partial[class] {
-			b := &s.blocks[bi]
-			ncells := BlockWords / cellWords
-			free += (ncells - int(b.liveCells)) * cellWords
-		}
-	}
-	return free
 }

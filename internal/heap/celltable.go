@@ -96,8 +96,18 @@ func (s *Space) cellsIn(bi uint32) int {
 	return 1
 }
 
+// hasRows reports whether any side table holds a row for block bi.
+func (s *Space) hasRows(bi uint32) bool {
+	for _, t := range s.tables {
+		if t.rows != nil && t.rows[bi] != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // clearCell zeroes cell c of block bi in every side table. The sweep calls
-// it for each cell it frees.
+// it for each cell it frees in a block that has rows.
 func (s *Space) clearCell(bi uint32, c int) {
 	for _, t := range s.tables {
 		if t.rows == nil {

@@ -242,14 +242,12 @@ func TestSweepRecyclesAndKeepsSurvivors(t *testing.T) {
 			doomed = append(doomed, a)
 		}
 	}
-	var freed []Addr
-	s.FreeHook = func(a Addr) { freed = append(freed, a) }
 	res := s.Sweep(false)
 	if res.ObjectsFreed != 500 || res.ObjectsLive != 500 {
 		t.Fatalf("sweep freed=%d live=%d", res.ObjectsFreed, res.ObjectsLive)
 	}
-	if len(freed) != 500 {
-		t.Errorf("FreeHook called %d times", len(freed))
+	if st := s.Stats(); st.ObjectsFreed != 500 || st.LiveObjects != 500 {
+		t.Errorf("stats after sweep: %+v", st)
 	}
 	for _, a := range survivors {
 		if !s.Contains(a) {
@@ -506,32 +504,6 @@ func TestSizeClassesCoverAllSizes(t *testing.T) {
 	}
 }
 
-func TestCheckRef(t *testing.T) {
-	reg, node, _ := testRegistry(t)
-	s := NewSpace(reg, 1<<20)
-	a, _ := s.Allocate(node, 0)
-	s.CheckRef(Nil) // nil is fine
-	s.CheckRef(a)   // live object is fine
-	mustPanic(t, "unaligned", func() { s.CheckRef(a + 1) })
-	mustPanic(t, "free cell", func() { s.CheckRef(a + Addr(classSizes[classFor(3)]*WordBytes)) })
-}
-
-func TestFreeWords(t *testing.T) {
-	reg, node, _ := testRegistry(t)
-	s := NewSpace(reg, 1<<20)
-	before := s.FreeWords()
-	if before <= 0 {
-		t.Fatal("no free words in fresh space")
-	}
-	for i := 0; i < 100; i++ {
-		s.Allocate(node, 0)
-	}
-	after := s.FreeWords()
-	if after >= before {
-		t.Errorf("FreeWords did not decrease: %d -> %d", before, after)
-	}
-}
-
 func TestExample(t *testing.T) {
 	// Kind stringer coverage.
 	for k, want := range map[Kind]string{KindObject: "object", KindRefArray: "ref-array", KindWordArray: "word-array", Kind(9): "Kind(9)"} {
@@ -541,5 +513,62 @@ func TestExample(t *testing.T) {
 	}
 	if fmt.Sprint(Nil.IsNil()) != "true" {
 		t.Error("Nil.IsNil")
+	}
+}
+
+// TestAllocLargeDoesNotAllocateOnTheHost: finding a run of free blocks sorts
+// the free-block list only when a sweep left it out of order, and never
+// through reflection.
+func TestAllocLargeDoesNotAllocateOnTheHost(t *testing.T) {
+	s := NewSpace(NewRegistry(), 64*BlockBytes)
+	// Small cells carve from the top of the list; freeing them appends the
+	// blocks behind older entries, so the next findRun has sorting to do.
+	churn := func() {
+		for i := 0; i < 3*BlockWords/4; i++ {
+			s.Allocate(TWordArray, 3)
+		}
+		if a, ok := s.allocLarge(TWordArray, 5*BlockWords-1, 5*BlockWords); !ok || !s.Contains(a) {
+			t.Fatal("large allocation failed")
+		}
+		s.Sweep(false)
+		if a, ok := s.allocLarge(TWordArray, 2*BlockWords-1, 2*BlockWords); !ok || !s.Contains(a) {
+			t.Fatal("large allocation after the sweep failed")
+		}
+		s.Sweep(false)
+	}
+	if n := testing.AllocsPerRun(20, churn); n != 0 {
+		t.Fatalf("%v host allocations per alloc/sweep round, want 0", n)
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeadFreedCountsFlaggedCellsOnly: Stats.DeadFreed is the number of
+// reclaimed objects that carried FlagDead — small, large, sticky sweep or
+// not — and a survivor's flag is left for the sweep that frees it.
+func TestDeadFreedCountsFlaggedCellsOnly(t *testing.T) {
+	reg, node, _ := testRegistry(t)
+	s := NewSpace(reg, 1<<20)
+	flagged := func(typ TypeID, n int) Addr {
+		a := mustAlloc(t, s, typ, n)
+		s.SetFlag(a, FlagDead)
+		return a
+	}
+	flagged(node, 0)
+	flagged(TWordArray, BlockWords)
+	mustAlloc(t, s, node, 0) // dies unflagged
+	survivor := flagged(node, 0)
+	s.SetMark(survivor)
+	if res := s.Sweep(true); res.ObjectsFreed != 3 || s.Stats().DeadFreed != 2 {
+		t.Fatalf("sticky sweep freed %d, DeadFreed %d; want 3 and 2", res.ObjectsFreed, s.Stats().DeadFreed)
+	}
+	s.ClearMark(survivor)
+	if res := s.Sweep(false); res.ObjectsFreed != 1 || s.Stats().DeadFreed != 3 {
+		t.Fatalf("second sweep freed %d, DeadFreed %d; want 1 and 3", res.ObjectsFreed, s.Stats().DeadFreed)
+	}
+	s.Sweep(false) // nothing allocated: stale headers in free cells are never read
+	if s.Stats().DeadFreed != 3 {
+		t.Fatalf("DeadFreed moved to %d on an empty heap", s.Stats().DeadFreed)
 	}
 }

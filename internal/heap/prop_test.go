@@ -8,7 +8,9 @@ import (
 
 // TestAllocSweepModel drives the allocator with a randomized alloc/retain/
 // sweep workload against a Go-side model: after every sweep, exactly the
-// retained objects exist, their contents are intact, and the stats balance.
+// retained objects exist, their contents are intact, the stats balance and
+// Verify holds. It runs a fixed seed list, then quick.Check's random seeds;
+// every failure logs its seed.
 func TestAllocSweepModel(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -52,10 +54,20 @@ func TestAllocSweepModel(t *testing.T) {
 					_ = o
 				}
 			}
-			res := s.Sweep(false)
+			sticky := round%3 == 2
+			res := s.Sweep(sticky)
 			if res.ObjectsLive != len(live) {
 				t.Logf("seed %d round %d: sweep live=%d model=%d", seed, round, res.ObjectsLive, len(live))
 				return false
+			}
+			if err := s.Verify(); err != nil {
+				t.Logf("seed %d round %d: Verify: %v", seed, round, err)
+				return false
+			}
+			if sticky {
+				for a := range live {
+					s.ClearMark(a)
+				}
 			}
 			// Contents of survivors are intact; addresses valid.
 			for a, o := range live {
@@ -83,6 +95,11 @@ func TestAllocSweepModel(t *testing.T) {
 			}
 		}
 		return true
+	}
+	for _, seed := range []int64{0, 1, 2, 22, -7, 1 << 40} {
+		if !prop(seed) {
+			t.Errorf("failed on fixed seed %d", seed)
+		}
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)

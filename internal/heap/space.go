@@ -2,7 +2,7 @@ package heap
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Size classes for small objects, in words (header included). Objects larger
@@ -14,15 +14,28 @@ const (
 	maxSmallWords = 256
 )
 
-// classFor returns the smallest size class holding size words.
-func classFor(size int) int {
-	for i, c := range classSizes {
-		if size <= c {
-			return i
+// MaxHeapBytes is the largest heap an Addr (a uint32 byte offset) can address.
+const MaxHeapBytes = 1 << 32
+
+// classOf maps an object size in words to the smallest class holding it;
+// padBits[class] is the last word of a block's allocation bitmap with only
+// the bits past the class's last cell set.
+var (
+	classOf [maxSmallWords + 1]uint8
+	padBits [numClasses]uint64
+)
+
+func init() {
+	for class := numClasses - 1; class >= 0; class-- {
+		for size := 0; size <= classSizes[class]; size++ {
+			classOf[size] = uint8(class)
 		}
+		padBits[class] = ^uint64(0) << ((BlockWords/classSizes[class]-1)%64 + 1)
 	}
-	panic(fmt.Sprintf("heap: no size class for %d words", size))
 }
+
+// classFor returns the smallest size class holding size words.
+func classFor(size int) int { return int(classOf[size]) }
 
 // Block states stored in blockInfo.class for non-small blocks.
 const (
@@ -33,14 +46,25 @@ const (
 )
 
 // blockInfo is the per-block metadata: which size class the block is carved
-// into, its intrusive free-cell list, and an allocation bitmap so the sweeper
-// can distinguish live cells from free ones.
+// into and its allocation bitmap, the only record of which cells are free. A
+// free cell's words are unspecified; every reader goes through the alloc bit.
 type blockInfo struct {
-	class     int16  // size-class index, or blkFree/blkLargeHead/blkLargeCont
-	spanLen   int32  // blkLargeHead: number of blocks in the span
-	freeHead  Addr   // head of this block's free-cell list (Nil if none)
-	liveCells int32  // number of allocated cells in the block
-	allocBits []byte // one bit per cell; nil until the block is carved
+	class     int16 // size-class index, or blkFree/blkLargeHead/blkLargeCont
+	spanLen   int32 // blkLargeHead: number of blocks in the span
+	cursor    int32 // no allocBits word below this index has a clear bit
+	liveCells int32 // number of allocated cells in the block
+	// allocBits holds one bit per cell; the pad bits past the last cell
+	// stay set so they never read as free. Nil until the block is carved.
+	allocBits []uint64
+}
+
+// cellBits returns word w of the allocation bitmap minus the pad bits.
+func (b *blockInfo) cellBits(w int) uint64 {
+	m := b.allocBits[w]
+	if w == len(b.allocBits)-1 {
+		m &^= padBits[b.class]
+	}
+	return m
 }
 
 // Stats accumulates allocation statistics for the space.
@@ -55,11 +79,15 @@ type Stats struct {
 	LiveObjects uint64
 	// LiveWords is the current number of words held by allocated cells.
 	LiveWords uint64
+	// DeadFreed is the cumulative number of reclaimed objects whose header
+	// carried FlagDead: the asserted-dead objects the sweeps verified.
+	DeadFreed uint64
 }
 
-// Space is the managed heap: one large word array carved into blocks, with
-// per-size-class free lists. It is non-moving, as the paper's MarkSweep
-// collector requires (header bits and registered addresses stay valid).
+// Space is the managed heap: one large word array carved into blocks of
+// equal-sized cells, each block with an allocation bitmap. It is non-moving,
+// as the paper's MarkSweep collector requires (header bits and registered
+// addresses stay valid).
 type Space struct {
 	reg     *Registry
 	words   []uint64
@@ -74,17 +102,12 @@ type Space struct {
 	// cell; the allocator services requests from the last entry.
 	partial [numClasses][]uint32
 
-	// FreeHook, when non-nil, is invoked for every object freed by Sweep,
-	// before its cell is recycled. The assertion engine uses it to prune
-	// weak registrations (region queues, ownee lists) for dead objects.
-	FreeHook func(Addr)
-
 	// WriteBarrier, when non-nil, is invoked on every reference store
 	// (SetRef/SetRefAt) with the source object and new value. The
 	// generational collector uses it to maintain its remembered set.
 	WriteBarrier func(src, val Addr)
 
-	// keepMarks is the sticky-marks setting of the in-progress sweep.
+	// keepMarks is the sticky-marks setting of the latest sweep.
 	keepMarks bool
 
 	// prov is the allocation-site provenance table; nil (the default) costs
@@ -99,10 +122,14 @@ type Space struct {
 }
 
 // NewSpace creates a heap of at least heapBytes bytes (rounded up to whole
-// blocks; block 0 is reserved so that Addr 0 means nil).
+// blocks; block 0 is reserved so that Addr 0 means nil). It panics when
+// heapBytes exceeds MaxHeapBytes: blocks past that would alias lower ones.
 func NewSpace(reg *Registry, heapBytes int) *Space {
 	if heapBytes < 2*BlockBytes {
 		heapBytes = 2 * BlockBytes
+	}
+	if heapBytes > MaxHeapBytes {
+		panic(fmt.Sprintf("heap: NewSpace: %d bytes exceeds the %d-byte (4 GiB) limit of a 32-bit Addr", heapBytes, MaxHeapBytes))
 	}
 	nblocks := uint32((heapBytes + BlockBytes - 1) / BlockBytes)
 	s := &Space{
@@ -152,59 +179,41 @@ func (s *Space) carveBlock(class int) bool {
 	bi := s.freeBlocks[len(s.freeBlocks)-1]
 	s.freeBlocks = s.freeBlocks[:len(s.freeBlocks)-1]
 	b := &s.blocks[bi]
-	cellWords := classSizes[class]
-	ncells := BlockWords / cellWords
+	nw := (BlockWords/classSizes[class] + 63) / 64
 	b.class = int16(class)
 	b.liveCells = 0
-	if b.allocBits == nil || len(b.allocBits) < (ncells+7)/8 {
-		b.allocBits = make([]byte, (ncells+7)/8)
+	b.cursor = 0
+	if cap(b.allocBits) < nw {
+		b.allocBits = make([]uint64, nw)
 	} else {
-		for i := range b.allocBits {
-			b.allocBits[i] = 0
-		}
+		b.allocBits = b.allocBits[:nw]
+		clear(b.allocBits)
 	}
-	// Thread the free list through the cells, front to back.
-	base := blockStart(bi)
-	b.freeHead = base
-	for c := 0; c < ncells; c++ {
-		cell := base + Addr(c*cellWords*WordBytes)
-		next := Nil
-		if c+1 < ncells {
-			next = cell + Addr(cellWords*WordBytes)
-		}
-		s.words[cell.word()] = uint64(next)
-	}
+	b.allocBits[nw-1] = padBits[class]
 	s.partial[class] = append(s.partial[class], bi)
 	return true
 }
 
-// findRun locates n contiguous free blocks and removes them from the free
-// list, returning the first index. It returns false if no run exists.
+// findRun removes the lowest run of n contiguous free blocks from the free
+// list and returns its first index, or false if no run exists.
 func (s *Space) findRun(n int) (uint32, bool) {
-	if n <= 0 {
-		n = 1
-	}
 	fb := s.freeBlocks
-	if len(fb) < n {
-		return 0, false
+	// Ascending unless a sweep appended freed blocks behind older entries.
+	if !slices.IsSorted(fb) {
+		slices.Sort(fb)
 	}
-	sort.Slice(fb, func(i, j int) bool { return fb[i] < fb[j] })
-	runStart := 0
-	for i := 1; i <= len(fb); i++ {
-		if i < len(fb) && fb[i] == fb[i-1]+1 {
-			if i-runStart+1 >= n {
-				first := fb[runStart]
-				s.freeBlocks = append(fb[:runStart], fb[runStart+n:]...)
-				return first, true
-			}
-			continue
+	run := 0
+	for i := range fb {
+		if i > 0 && fb[i] == fb[i-1]+1 {
+			run++
+		} else {
+			run = 1
 		}
-		if i-runStart >= n {
-			first := fb[runStart]
-			s.freeBlocks = append(fb[:runStart], fb[runStart+n:]...)
+		if run >= n {
+			first := fb[i+1-run]
+			s.freeBlocks = append(fb[:i+1-run], fb[i+1:]...)
 			return first, true
 		}
-		runStart = i
 	}
 	return 0, false
 }
@@ -214,10 +223,6 @@ func (s *Space) cellIndex(b *blockInfo, a Addr) int {
 	off := int(uint32(a) % BlockBytes)
 	return off / (classSizes[b.class] * WordBytes)
 }
-
-func bitGet(bits []byte, i int) bool { return bits[i>>3]&(1<<(i&7)) != 0 }
-func bitSet(bits []byte, i int)      { bits[i>>3] |= 1 << (i & 7) }
-func bitClear(bits []byte, i int)    { bits[i>>3] &^= 1 << (i & 7) }
 
 // Contains reports whether a is a plausible object address: word-aligned,
 // inside the heap, inside an allocated cell. Used by invariant checks.
@@ -230,19 +235,11 @@ func (s *Space) Contains(a Addr) bool {
 	case b.class >= 0:
 		ci := s.cellIndex(b, a)
 		cellStart := blockStart(a.block()) + Addr(ci*classSizes[b.class]*WordBytes)
-		return cellStart == a && bitGet(b.allocBits, ci)
+		return cellStart == a && b.cellBits(ci>>6)>>(ci&63)&1 != 0
 	case b.class == blkLargeHead:
 		return a == blockStart(a.block()) && a.block() != 0
 	default:
 		return false
-	}
-}
-
-// CheckRef panics if a is neither nil nor a valid object address. The managed
-// runtime calls it on stores in debug configurations.
-func (s *Space) CheckRef(a Addr) {
-	if !a.IsNil() && !s.Contains(a) {
-		panic(fmt.Sprintf("heap: invalid reference %#x", uint32(a)))
 	}
 }
 

@@ -1,21 +1,24 @@
 package heap
 
+import "math/bits"
+
 // SweepResult summarizes one sweep pass.
 type SweepResult struct {
 	// ObjectsFreed is the number of objects reclaimed.
 	ObjectsFreed int
-	// WordsFreed is the number of words returned to free lists.
+	// WordsFreed is the number of words the reclaimed cells and spans held.
 	WordsFreed int
 	// ObjectsLive is the number of objects that survived (marks cleared).
 	ObjectsLive int
 }
 
-// Sweep reclaims every allocated object whose mark bit is clear, rebuilds
-// the per-block free lists, and returns empty blocks to the block pool.
-// Survivors' mark bits are cleared unless keepMarks is set (sticky marks,
-// used by generational minor collections). FreeHook (if set) is called for
-// each freed object before its storage is recycled, which the assertion
-// engine uses to prune weak registrations.
+// Sweep reclaims every allocated object whose mark bit is clear by clearing
+// its alloc bit, and returns empty blocks to the block pool. Survivors' mark
+// bits are cleared unless keepMarks is set (sticky marks, used by the
+// generational mode). It visits allocated cells only and stores into no free
+// cell: it costs what was allocated, not what the heap holds. Reclaimed
+// objects whose header carries FlagDead are counted into Stats.DeadFreed,
+// the assertion engine's DeadVerified.
 //
 // Sweep corresponds to the sweep phase of the paper's MarkSweep collector;
 // the collector package calls it after tracing.
@@ -34,6 +37,7 @@ func (s *Space) Sweep(keepMarks bool) SweepResult {
 			s.sweepLargeSpan(bi, b, &res)
 		}
 	}
+	res.ObjectsLive = int(s.stats.LiveObjects) - res.ObjectsFreed
 	s.stats.ObjectsFreed += uint64(res.ObjectsFreed)
 	s.stats.LiveObjects -= uint64(res.ObjectsFreed)
 	s.stats.LiveWords -= uint64(res.WordsFreed)
@@ -42,66 +46,64 @@ func (s *Space) Sweep(keepMarks bool) SweepResult {
 
 func (s *Space) sweepSmallBlock(bi uint32, b *blockInfo, res *SweepResult) {
 	cellWords := classSizes[b.class]
-	ncells := BlockWords / cellWords
-	base := blockStart(bi)
-	b.freeHead = Nil
-	var tail Addr // last free cell, to append in address order
-	free := 0
-	for c := 0; c < ncells; c++ {
-		cell := base + Addr(c*cellWords*WordBytes)
-		if bitGet(b.allocBits, c) {
-			if s.words[cell.word()]&uint64(FlagMark) != 0 {
+	base := blockStart(bi).word()
+	rows := s.hasRows(bi)
+	freed, flagged := 0, uint64(0)
+	for w := range b.allocBits {
+		var dead uint64
+		for m := b.cellBits(w); m != 0; m &= m - 1 {
+			c := w<<6 + bits.TrailingZeros64(m)
+			hw := base + uint32(c*cellWords)
+			h := s.words[hw]
+			if h&uint64(FlagMark) != 0 {
 				if !s.keepMarks {
-					s.words[cell.word()] &^= uint64(FlagMark)
+					s.words[hw] = h &^ uint64(FlagMark)
 				}
-				res.ObjectsLive++
 				continue
 			}
-			// Unreachable: reclaim.
-			if s.FreeHook != nil {
-				s.FreeHook(cell)
+			// Unreachable: reclaim. Which dying cells carry FlagDead follows
+			// no pattern a branch predictor could learn, so count by adding.
+			dead |= m & -m
+			flagged += h / uint64(FlagDead) & 1
+			if rows {
+				s.clearCell(bi, c)
 			}
-			s.clearCell(bi, c)
-			bitClear(b.allocBits, c)
-			b.liveCells--
-			res.ObjectsFreed++
-			res.WordsFreed += cellWords
 		}
-		// Cell is free: thread it onto the block free list. Zeroing the
-		// first word also clears a freed object's stale header flags.
-		s.words[cell.word()] = 0
-		if tail == Nil {
-			b.freeHead = cell
-		} else {
-			s.words[tail.word()] = uint64(cell)
+		if dead != 0 {
+			b.allocBits[w] &^= dead
+			if int32(w) < b.cursor {
+				b.cursor = int32(w)
+			}
+			freed += bits.OnesCount64(dead)
 		}
-		tail = cell
-		free++
 	}
+	s.stats.DeadFreed += flagged
+	b.liveCells -= int32(freed)
+	res.ObjectsFreed += freed
+	res.WordsFreed += freed * cellWords
 	if b.liveCells == 0 {
 		// Whole block is empty: return it to the block pool.
 		b.class = blkFree
-		b.freeHead = Nil
 		s.freeBlocks = append(s.freeBlocks, bi)
 		s.dropRows(bi)
 		return
 	}
-	if free > 0 {
+	if int(b.liveCells) < BlockWords/cellWords {
 		s.partial[b.class] = append(s.partial[b.class], bi)
 	}
 }
 
 func (s *Space) sweepLargeSpan(bi uint32, b *blockInfo, res *SweepResult) {
-	a := blockStart(bi)
-	if s.words[a.word()]&uint64(FlagMark) != 0 {
+	hw := blockStart(bi).word()
+	h := s.words[hw]
+	if h&uint64(FlagMark) != 0 {
 		if !s.keepMarks {
-			s.words[a.word()] &^= uint64(FlagMark)
+			s.words[hw] = h &^ uint64(FlagMark)
 		}
-		res.ObjectsLive++
 		return
 	}
-	if s.FreeHook != nil {
-		s.FreeHook(a)
+	if h&uint64(FlagDead) != 0 {
+		s.stats.DeadFreed++
 	}
 	s.clearCell(bi, 0)
 	s.dropRows(bi)
@@ -112,7 +114,6 @@ func (s *Space) sweepLargeSpan(bi uint32, b *blockInfo, res *SweepResult) {
 		blk.liveCells = 0
 		s.freeBlocks = append(s.freeBlocks, bi+uint32(i))
 	}
-	s.words[a.word()] = 0
 	res.ObjectsFreed++
 	res.WordsFreed += n * BlockWords
 }
@@ -125,21 +126,19 @@ func (s *Space) ForEachObject(fn func(Addr) bool) {
 		b := &s.blocks[bi]
 		switch {
 		case b.class >= 0:
-			cellWords := classSizes[b.class]
-			ncells := BlockWords / cellWords
+			cellBytes := classSizes[b.class] * WordBytes
 			base := blockStart(bi)
-			for c := 0; c < ncells; c++ {
-				if bitGet(b.allocBits, c) {
-					if !fn(base + Addr(c*cellWords*WordBytes)) {
+			for w := range b.allocBits {
+				for m := b.cellBits(w); m != 0; m &= m - 1 {
+					c := w<<6 + bits.TrailingZeros64(m)
+					if !fn(base + Addr(c*cellBytes)) {
 						return
 					}
 				}
 			}
 		case b.class == blkLargeHead:
-			if b.liveCells > 0 {
-				if !fn(blockStart(bi)) {
-					return
-				}
+			if !fn(blockStart(bi)) {
+				return
 			}
 		}
 	}

@@ -15,8 +15,9 @@ import (
 // roots plus the remembered set, does not traverse into old objects, and
 // sweeps with KeepMarks so old objects are retained wholesale. A write
 // barrier records old objects that are stored a reference (their fields act
-// as extra minor-GC roots). Full collections clear every mark, run the
-// normal assertion-checking cycle, then re-mark all survivors as old.
+// as extra minor-GC roots). Full collections clear every mark and run the
+// normal assertion-checking cycle; its sweep is sticky too, so the survivors
+// — exactly the objects it marked — come out of it old.
 type generational struct {
 	r     *Runtime
 	minor *collector.Collector
@@ -44,6 +45,7 @@ func (r *Runtime) initGenerational(cfg Config) {
 	}
 	g.minor = collector.New(r.space, (*rootScanner)(r), nil, false)
 	g.minor.KeepMarks = true
+	r.gc.KeepMarks = true
 	// Minor collections show up in the telemetry trace too (distinguished
 	// by their reason label, which lacks the "-full" suffix), and get their
 	// triggers explained by the same pressure tracker.
@@ -103,12 +105,8 @@ func (g *generational) fullCollect(reason collector.Reason) collector.Collection
 		return true
 	})
 	g.remset = g.remset[:0]
+	// Survivors keep the marks the trace gave them: the old generation.
 	col := g.r.gc.Collect(reason)
-	// Survivors become the old generation.
-	s.ForEachObject(func(a heap.Addr) bool {
-		s.SetMark(a)
-		return true
-	})
 	g.Fulls++
 	g.sinceFull = 0
 	return col

@@ -16,6 +16,7 @@ import (
 // graphWorld is a randomized mutator: a pool of objects with two ref fields,
 // a set of root slots, and a Go-side mirror of every edge.
 type graphWorld struct {
+	t     testing.TB
 	vm    *gcassert.Runtime
 	rep   *gcassert.CollectingReporter
 	th    *gcassert.Thread
@@ -28,9 +29,14 @@ type graphWorld struct {
 }
 
 func newGraphWorld(t testing.TB, n, nroots int, rng *rand.Rand) *graphWorld {
+	return newGraphWorldOpts(t, n, nroots, rng, gcassert.Options{HeapBytes: 8 << 20})
+}
+
+func newGraphWorldOpts(t testing.TB, n, nroots int, rng *rand.Rand, opts gcassert.Options) *graphWorld {
 	t.Helper()
-	w := &graphWorld{rep: &gcassert.CollectingReporter{}, nroot: nroots}
-	w.vm = gcassert.New(gcassert.Options{HeapBytes: 8 << 20, Infrastructure: true, Reporter: w.rep})
+	w := &graphWorld{t: t, rep: &gcassert.CollectingReporter{}, nroot: nroots}
+	opts.Infrastructure, opts.Reporter = true, w.rep
+	w.vm = gcassert.New(opts)
 	w.node = w.vm.Define("N",
 		gcassert.Field{Name: "a", Ref: true},
 		gcassert.Field{Name: "b", Ref: true})
@@ -65,6 +71,21 @@ func newGraphWorld(t testing.TB, n, nroots int, rng *rand.Rand) *graphWorld {
 		w.roots = append(w.roots, r)
 	}
 	return w
+}
+
+// collect forces a full collection and holds the heap to its layout
+// invariants (heap.Space.Verify) afterwards.
+func (w *graphWorld) collect() {
+	w.t.Helper()
+	w.vm.Collect()
+	w.verify("after Collect")
+}
+
+func (w *graphWorld) verify(when string) {
+	w.t.Helper()
+	if err := w.vm.Space().Verify(); err != nil {
+		w.t.Fatalf("%s: heap invariant: %v", when, err)
+	}
 }
 
 // reachable computes the oracle closure from the current roots.
@@ -118,7 +139,7 @@ func TestPropertyDeadAssertionExact(t *testing.T) {
 		target := w.objs[rng.Intn(len(w.objs))]
 		w.vm.AssertDead(target)
 		want := w.reachable()[target]
-		w.vm.Collect()
+		w.collect()
 		got := len(w.rep.ByKind(gcassert.KindDead)) == 1
 		if got != want {
 			t.Logf("seed %d: violation=%v, reachable=%v", seed, got, want)
@@ -158,7 +179,7 @@ func TestPropertyUnsharedExact(t *testing.T) {
 				enc++
 			}
 		}
-		w.vm.Collect()
+		w.collect()
 		got := len(w.rep.ByKind(gcassert.KindUnshared)) > 0
 		want := enc > 1
 		if got != want {
@@ -179,7 +200,7 @@ func TestPropertyInstanceCountsMatchOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		w := newGraphWorld(t, 150, 7, rng)
 		w.vm.AssertInstances(w.node, 1<<40) // huge limit: just count
-		w.vm.Collect()
+		w.collect()
 		n, ok := w.vm.LiveInstances(w.node)
 		if !ok {
 			return false
@@ -206,7 +227,7 @@ func TestPropertyViolationPathsAreReal(t *testing.T) {
 				nAsserted++
 			}
 		}
-		w.vm.Collect()
+		w.collect()
 		vs := w.rep.ByKind(gcassert.KindDead)
 		if len(vs) != nAsserted {
 			t.Logf("seed %d: %d asserted, %d reported", seed, nAsserted, len(vs))
@@ -245,11 +266,23 @@ func TestPropertyViolationPathsAreReal(t *testing.T) {
 
 // TestPropertyCollectionPreservesGraph: after arbitrary collections, every
 // surviving edge still reads back exactly as mirrored (no corruption, no
-// premature frees), across repeated mutate/collect rounds.
+// premature frees), across repeated mutate/collect rounds — in full-heap
+// mode, and in generational mode on a heap small enough that each round's
+// garbage forces minor collections before the explicit full one. The heap's
+// layout invariants are verified after every collection.
 func TestPropertyCollectionPreservesGraph(t *testing.T) {
+	t.Run("full-heap", func(t *testing.T) {
+		testCollectionPreservesGraph(t, gcassert.Options{HeapBytes: 8 << 20})
+	})
+	t.Run("generational", func(t *testing.T) {
+		testCollectionPreservesGraph(t, gcassert.Options{HeapBytes: 4 * 32 << 10, Generational: true, MinorRatio: 2})
+	})
+}
+
+func testCollectionPreservesGraph(t *testing.T, opts gcassert.Options) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		w := newGraphWorld(t, 100, 5, rng)
+		w := newGraphWorldOpts(t, 100, 5, rng, opts)
 		for round := 0; round < 5; round++ {
 			// Random mutations among currently-live objects.
 			live := w.reachable()
@@ -279,7 +312,20 @@ func TestPropertyCollectionPreservesGraph(t *testing.T) {
 					w.fr.Set(i, w.roots[i])
 				}
 			}
-			w.vm.Collect()
+			if opts.Generational {
+				// Garbage enough to fill the three usable blocks more than
+				// once: allocation-triggered minors and a rollover full.
+				gcs := w.vm.GCStats().Collections + w.vm.MinorGCStats().Collections
+				for i := 0; i < 12_000; i++ {
+					w.th.New(w.node)
+				}
+				if w.vm.GCStats().Collections+w.vm.MinorGCStats().Collections < gcs+2 {
+					t.Logf("seed %d round %d: the churn did not trigger collections", seed, round)
+					return false
+				}
+				w.verify("after allocation-triggered collections")
+			}
+			w.collect()
 			// Verify all reachable edges.
 			for a := range w.reachable() {
 				e := w.edges[a]
