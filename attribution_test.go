@@ -163,42 +163,6 @@ func TestTriggerExplainerExhaustion(t *testing.T) {
 	}
 }
 
-// TestTriggerExplainerGenerational checks that minor collections explain
-// themselves as minors and that forced full collections in generational
-// mode say so.
-func TestTriggerExplainerGenerational(t *testing.T) {
-	vm := gcassert.New(gcassert.Options{
-		HeapBytes: 1 << 20, Infrastructure: true, Generational: true,
-		MinorRatio: 2, Telemetry: true, CostAttribution: true,
-	})
-	node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
-	th := vm.NewThread("main")
-	th.Push(1)
-	for vm.MinorGCStats().Collections < 4 {
-		th.New(node)
-	}
-	var minors, fulls int
-	for _, ev := range vm.Telemetry().Events() {
-		if ev.Trigger == "" {
-			t.Fatalf("generational event %d has no trigger explanation (%s)", ev.Seq, ev.Reason)
-		}
-		switch {
-		case strings.Contains(ev.Trigger, "minor (sticky-mark)"):
-			minors++
-		case strings.Contains(ev.Trigger, "rollover"),
-			strings.Contains(ev.Trigger, "escalated"),
-			strings.Contains(ev.Trigger, "full"):
-			fulls++
-		}
-	}
-	if minors == 0 {
-		t.Fatal("no minor-collection trigger explanations recorded")
-	}
-	if fulls == 0 {
-		t.Fatal("no full-collection trigger explanations recorded")
-	}
-}
-
 // TestPressureStats checks the mutator-side snapshot: per-thread totals,
 // the occupancy timeline, and the allocation-rate EWMA.
 func TestPressureStats(t *testing.T) {

@@ -8,7 +8,7 @@ package gcassert_test
 //	BenchmarkFigure3GCTime        — GC time, Base vs Infrastructure
 //	BenchmarkFigure4AssertRunTime — total time with assertions (db, pseudojbb)
 //	BenchmarkFigure5AssertGCTime  — GC time with assertions (db, pseudojbb)
-//	BenchmarkAblation*            — path tracking, ownee scaling, generational
+//	BenchmarkAblation*            — path tracking, ownee scaling
 //
 // Every sub-benchmark reports gc-ms/op and mutator-ms/op metrics so the
 // figures' ratios can be read directly from `go test -bench`.
@@ -174,49 +174,6 @@ func BenchmarkAblationOwneeScaling(b *testing.B) {
 			st, gc := vm.AssertionStats(), vm.GCStats()
 			b.ReportMetric(float64(st.OwneesChecked)/float64(gc.Collections), "ownees/gc")
 			b.ReportMetric(float64(gc.OwnershipTime.Nanoseconds())/1e3/float64(gc.Collections), "ownership-us/gc")
-		})
-	}
-}
-
-// BenchmarkAblationGenerational measures assert-dead detection latency (in
-// collections) under the full-heap collector vs the sticky-mark generational
-// mode, where assertions are only checked at full collections (Ablation A,
-// the paper's §2.2 discussion).
-func BenchmarkAblationGenerational(b *testing.B) {
-	for _, gen := range []bool{false, true} {
-		name := "full-heap"
-		if gen {
-			name = "generational"
-		}
-		gen := gen
-		b.Run(name, func(b *testing.B) {
-			totalGCs := 0.0
-			for i := 0; i < b.N; i++ {
-				rep := &gcassert.CollectingReporter{}
-				vm := gcassert.New(gcassert.Options{
-					HeapBytes:      2 << 20,
-					Infrastructure: true,
-					Reporter:       rep,
-					Generational:   gen,
-					MinorRatio:     8,
-				})
-				node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
-				th := vm.NewThread("main")
-				fr := th.Push(2)
-				leak := th.New(node)
-				fr.Set(0, leak)
-				vm.AssertDead(leak) // never dies: the violation to detect
-				gcs0 := vm.GCStats().Collections + vm.MinorGCStats().Collections
-				// Churn until the violation is reported.
-				for rep.Len() == 0 {
-					cfr := th.Push(1)
-					buildList(vm, th, cfr, node, 10_000)
-					th.Pop()
-				}
-				gcs := vm.GCStats().Collections + vm.MinorGCStats().Collections
-				totalGCs += float64(gcs - gcs0)
-			}
-			b.ReportMetric(totalGCs/float64(b.N), "gcs-until-detect")
 		})
 	}
 }

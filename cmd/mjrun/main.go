@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	mjrun [-heap MiB] [-gen] [-stats] [-disasm] [-O]
+//	mjrun [-heap MiB] [-stats] [-disasm] [-O]
 //	      [-provenance] [-fr] [-fr-dump file] [-explain] [-top]
 //	      [-serve addr] [-fleet url] [-fleet-every N] [-instance id]
 //	      program.mj
@@ -25,7 +25,7 @@
 // site provenance (the interpreter's per-pc site cache makes the sited
 // allocations cheap).
 //
-// -fleet enables the fleet exporter: every -fleet-every full collections
+// -fleet enables the fleet exporter: every -fleet-every collections
 // the census snapshot is sealed into a content-addressed envelope and
 // shipped to the gcfleet collector at the given base URL (and, on an
 // assertion violation, a flight bundle too when -fr is armed). -instance
@@ -64,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mjrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	heapMB := fs.Int("heap", 16, "managed heap size in MiB")
-	gen := fs.Bool("gen", false, "use the generational collector (assertions checked at full GCs only)")
 	stats := fs.Bool("stats", false, "print GC and assertion statistics at exit")
 	disasm := fs.Bool("disasm", false, "print the compiled bytecode and exit")
 	optimize := fs.Bool("O", false, "run the peephole bytecode optimizer")
@@ -75,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	top := fs.Bool("top", false, "attach an in-process gctop dashboard (redrawn per collection)")
 	serve := fs.String("serve", "", "listen address for the telemetry HTTP surface (e.g. :6060; feeds external gctop via /debug/gcassert/live)")
 	fleetURL := fs.String("fleet", "", "gcfleet collector base URL; enables the fleet exporter (implies introspection + provenance)")
-	fleetEvery := fs.Int("fleet-every", 1, "census export interval in full collections (with -fleet)")
+	fleetEvery := fs.Int("fleet-every", 1, "census export interval in collections (with -fleet)")
 	instance := fs.String("instance", "", "instance ID stamped on exported artifacts (with -fleet; empty = host-pid-random)")
 	showVersion := fs.Bool("version", false, "print build identity and exit")
 	if err := fs.Parse(args); err != nil {
@@ -86,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: mjrun [-heap MiB] [-gen] [-stats] [-disasm] [-O] [-provenance] [-fr] [-fr-dump file] [-explain] [-top] [-serve addr] [-fleet url] [-fleet-every N] [-instance id] program.mj")
+		fmt.Fprintln(stderr, "usage: mjrun [-heap MiB] [-stats] [-disasm] [-O] [-provenance] [-fr] [-fr-dump file] [-explain] [-top] [-serve addr] [-fleet url] [-fleet-every N] [-instance id] program.mj")
 		return 2
 	}
 	if *heapMB < 0 || *heapMB > heap.MaxHeapBytes>>20 {
@@ -123,7 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		HeapBytes:       *heapMB << 20,
 		Infrastructure:  true,
 		Reporter:        gcassert.NewWriterReporter(stderr),
-		Generational:    *gen,
 		Provenance:      prov,
 		FlightRecorder:  *fr,
 		Telemetry:       observing,

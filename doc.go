@@ -2,8 +2,7 @@
 // interface of Aftandilian & Guyer, "GC Assertions: Using the Garbage
 // Collector to Check Heap Properties" (PLDI 2009) — together with the
 // managed runtime it needs: a typed heap, a stop-the-world mark-sweep
-// collector with path-reconstructing tracing, mutator threads, and an
-// optional sticky-mark-bit generational mode.
+// collector with path-reconstructing tracing, and mutator threads.
 //
 // Programmers allocate objects on the managed heap and register assertions
 // about them; the garbage collector checks every registered assertion during

@@ -116,45 +116,6 @@ func TestOnViolationDecider(t *testing.T) {
 	}
 }
 
-func TestGenerationalViaFacade(t *testing.T) {
-	rep := &gcassert.CollectingReporter{}
-	vm := gcassert.New(gcassert.Options{
-		HeapBytes:      2 << 20,
-		Infrastructure: true,
-		Reporter:       rep,
-		Generational:   true,
-		MinorRatio:     4,
-	})
-	node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
-	th := vm.NewThread("main")
-	fr := th.Push(1)
-	leak := th.New(node)
-	fr.Set(0, leak)
-	vm.AssertDead(leak)
-	// Churn until both minor and full collections have run.
-	for {
-		minors, fulls, ok := vm.GenStats()
-		if !ok {
-			t.Fatal("GenStats not available")
-		}
-		if minors > 0 && fulls > 0 {
-			break
-		}
-		cfr := th.Push(1)
-		for i := 0; i < 5000; i++ {
-			n := th.New(node)
-			cfr.Set(0, n)
-		}
-		th.Pop()
-	}
-	if rep.Len() == 0 {
-		t.Error("full collection did not check the assertion")
-	}
-	if !vm.Space().Contains(leak) {
-		t.Error("live object freed in generational mode")
-	}
-}
-
 func TestAssertionStatsZeroWithoutInfra(t *testing.T) {
 	vm := gcassert.New(gcassert.Options{HeapBytes: 2 << 20})
 	if st := vm.AssertionStats(); st != (gcassert.AssertStats{}) {

@@ -175,12 +175,6 @@ type Options struct {
 	// stop-the-world collection and must not allocate on the managed heap
 	// or register assertions.
 	OnViolation func(*Violation) Reaction
-	// Generational enables the sticky-mark-bit generational mode, in which
-	// assertions are checked only at full-heap collections (§2.2).
-	Generational bool
-	// MinorRatio is the number of minor collections between forced full
-	// collections in generational mode (default 4).
-	MinorRatio int
 	// Telemetry enables the observability layer (structured GC event
 	// trace, Prometheus metrics with a pause histogram, violation log,
 	// HTTP surface) — see Runtime.Telemetry. It works in every mode,
@@ -215,7 +209,7 @@ type Options struct {
 	// FlightCycles bounds the flight recorder's cycle ring (default 64).
 	FlightCycles int
 	// CostAttribution enables the GC cost-attribution and heap-pressure
-	// layer: every full collection's assertion work is attributed per kind
+	// layer: every collection's assertion work is attributed per kind
 	// (check counts exact, slow-path time measured), each Collection is
 	// stamped with a trigger explanation (why the GC ran, heap occupancy,
 	// allocation-rate EWMA, dominant allocating thread and site), and
@@ -239,7 +233,7 @@ type Options struct {
 	// of colliding. Cross-tenant leak diffing in gcfleet depends on this.
 	Tenant string
 	// FleetURL enables the fleet exporter when non-empty: every FleetEvery
-	// full collections the census snapshot is sealed into a
+	// collections the census snapshot is sealed into a
 	// content-addressed envelope and shipped to the gcfleet collector at
 	// this base URL; on an assertion violation a flight-recorder bundle
 	// ships too. Sends happen on a background goroutine with a bounded
@@ -249,12 +243,12 @@ type Options struct {
 	// ?export=now ships a census on demand. With FleetURL empty (the
 	// default), the exporter does not exist and collections pay nothing.
 	FleetURL string
-	// FleetEvery is the census export interval in full collections
+	// FleetEvery is the census export interval in collections
 	// (default 1: every collection — the collector dedupes identical
 	// content, so steady-state replicas are nearly free to report).
 	FleetEvery int
 	// Introspection enables the heap-introspection layer: a per-type live
-	// census piggybacked on every full collection's mark phase, snapshot
+	// census piggybacked on every collection's mark phase, snapshot
 	// diffing with Cork-style leak-suspect ranking, and on-demand dominator
 	// / retained-size analysis — see Runtime.CensusSnapshots, LeakSuspects
 	// and Dominators. Works in every mode, including Base. Disabled (the
@@ -298,8 +292,6 @@ func New(opts Options) *Runtime {
 		Reporter:          opts.Reporter,
 		LogWriter:         opts.LogWriter,
 		Policy:            opts.Policy,
-		Generational:      opts.Generational,
-		MinorRatio:        opts.MinorRatio,
 		Telemetry:         opts.Telemetry,
 		TelemetryRingSize: opts.TelemetryRingSize,
 		CostAttribution:   opts.CostAttribution,

@@ -321,15 +321,16 @@ func TestAPIErrors(t *testing.T) {
 	}
 }
 
-// TestHostileWorkersOptionIsIgnored: "workers" used to reach the collector
-// unclamped, and a collection at width 200000 did not finish in five minutes
-// — one unauthenticated create pinned the host. The option is gone, so the
-// key is unknown and ignored like any other: the tenant collects within the
-// deadline and its document does not echo the key back.
-func TestHostileWorkersOptionIsIgnored(t *testing.T) {
+// TestRemovedOptionKeysAreIgnored: the options behind these keys are gone, so
+// each key is unknown and ignored like any other: the tenant is created,
+// collects within the deadline, and its document does not echo the key back.
+// "workers" used to reach the collector unclamped, and a collection at width
+// 200000 did not finish in five minutes — one unauthenticated create pinned
+// the host; the second row's key used to select a second collection mode.
+func TestRemovedOptionKeysAreIgnored(t *testing.T) {
 	_, ts := testServer(t, assertd.Config{})
 	client := &http.Client{Timeout: 5 * time.Second}
-	post := func(path, ctype, body string, wantCode int) []byte {
+	post := func(t *testing.T, path, ctype, body string, wantCode int) []byte {
 		t.Helper()
 		resp, err := client.Post(ts.URL+path, ctype, strings.NewReader(body))
 		if err != nil {
@@ -342,26 +343,34 @@ func TestHostileWorkersOptionIsIgnored(t *testing.T) {
 		}
 		return raw
 	}
-	post("/tenants", "application/json", `{"id":"h","options":{"workers":200000}}`, http.StatusCreated)
-	post("/tenants/h/program", "text/plain", steadySrc, http.StatusOK)
-	var res assertd.DriveResult
-	if err := json.Unmarshal(post("/tenants/h/drive", "application/json", `{"requests":1,"collect":true}`, http.StatusOK), &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != 1 || res.Failures != 0 {
-		t.Fatalf("drive = %+v, want one clean request", res)
-	}
+	for _, tc := range []struct{ key, value string }{
+		{"workers", "200000"},
+		{"generational", "true"},
+	} {
+		t.Run(tc.key, func(t *testing.T) {
+			id := "h-" + tc.key
+			post(t, "/tenants", "application/json", fmt.Sprintf(`{"id":%q,"options":{%q:%s}}`, id, tc.key, tc.value), http.StatusCreated)
+			post(t, "/tenants/"+id+"/program", "text/plain", steadySrc, http.StatusOK)
+			var res assertd.DriveResult
+			if err := json.Unmarshal(post(t, "/tenants/"+id+"/drive", "application/json", `{"requests":1,"collect":true}`, http.StatusOK), &res); err != nil {
+				t.Fatal(err)
+			}
+			if res.Requests != 1 || res.Failures != 0 {
+				t.Fatalf("drive = %+v, want one clean request", res)
+			}
 
-	var doc struct {
-		Options     map[string]any `json:"options"`
-		Collections uint64         `json:"collections"`
-	}
-	doJSON(t, "GET", ts.URL+"/tenants/h", nil, http.StatusOK, &doc)
-	if _, echoed := doc.Options["workers"]; echoed {
-		t.Errorf("tenant document carries a workers key: %v", doc.Options)
-	}
-	if doc.Collections == 0 {
-		t.Error("the drive collected nothing")
+			var doc struct {
+				Options     map[string]any `json:"options"`
+				Collections uint64         `json:"collections"`
+			}
+			doJSON(t, "GET", ts.URL+"/tenants/"+id, nil, http.StatusOK, &doc)
+			if _, echoed := doc.Options[tc.key]; echoed {
+				t.Errorf("tenant document carries a %s key: %v", tc.key, doc.Options)
+			}
+			if doc.Collections == 0 {
+				t.Error("the drive collected nothing")
+			}
+		})
 	}
 }
 

@@ -30,8 +30,6 @@ type TenantOptions struct {
 	// Provenance selects allocation-site provenance: "", "off", "sampled",
 	// or "exhaustive".
 	Provenance string `json:"provenance,omitempty"`
-	// Generational selects the sticky-mark-bit generational mode.
-	Generational bool `json:"generational,omitempty"`
 	// MaxSteps bounds each guest request's executed instructions. 0 applies
 	// the server default (defaultMaxSteps); there is no unlimited setting —
 	// a tenant must not be able to pin its service loop forever.
@@ -278,7 +276,6 @@ func newTenant(s *Server, id string, topts TenantOptions) (*Tenant, error) {
 		Infrastructure:  true,
 		Reporter:        core.FuncReporter(t.onViolation),
 		Policy:          pol,
-		Generational:    topts.Generational,
 		Telemetry:       true,
 		CostAttribution: true,
 		Provenance:      topts.Provenance,

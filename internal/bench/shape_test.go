@@ -81,42 +81,3 @@ func TestReproductionShape(t *testing.T) {
 	t.Errorf("in none of %d rounds did a majority of %d paired trials keep WithAssertions total under 1.6x Base (paper: ~1.01x)",
 		shapeRounds, shapeTrials)
 }
-
-// TestGenerationalDelaysDetectionShape is the §2.2 claim as a regression
-// test: the generational collector takes strictly more collections to
-// detect an assert-dead violation than the full-heap collector.
-func TestGenerationalDelaysDetectionShape(t *testing.T) {
-	detect := func(gen bool) uint64 {
-		rep := &gcassert.CollectingReporter{}
-		vm := gcassert.New(gcassert.Options{
-			HeapBytes:      2 << 20,
-			Infrastructure: true,
-			Reporter:       rep,
-			Generational:   gen,
-			MinorRatio:     8,
-		})
-		node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
-		th := vm.NewThread("main")
-		fr := th.Push(1)
-		leak := th.New(node)
-		fr.Set(0, leak)
-		vm.AssertDead(leak)
-		for rep.Len() == 0 {
-			cfr := th.Push(1)
-			var head gcassert.Ref
-			for i := 0; i < 5000; i++ {
-				n := th.New(node)
-				vm.Space().SetRef(n, 0, head)
-				head = n
-				cfr.Set(0, head)
-			}
-			th.Pop()
-		}
-		return vm.GCStats().Collections + vm.MinorGCStats().Collections
-	}
-	full := detect(false)
-	gen := detect(true)
-	if gen <= full {
-		t.Errorf("generational detected after %d collections, full-heap after %d; expected a delay", gen, full)
-	}
-}

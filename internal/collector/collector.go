@@ -99,9 +99,6 @@ type Collector struct {
 	// allFirstMarks caches Hooks.WantAllFirstMarks for the current cycle.
 	allFirstMarks bool
 
-	// KeepMarks makes the sweep retain survivors' mark bits (sticky marks),
-	// which the generational mode uses for all its collections.
-	KeepMarks bool
 	// Observer, if non-nil, receives collection-lifecycle callbacks
 	// (telemetry). The disabled path costs one nil-check per phase.
 	Observer Observer
@@ -113,10 +110,6 @@ type Collector struct {
 	// nil (the default) the mark hot path pays a single predictable branch
 	// and zero allocations, mirroring the Observer pattern.
 	OnMark func(heap.Addr)
-	// PreSweep, if non-nil, runs after marking (and after PostMark) and
-	// before the sweep. The generational mode uses it to prune the assertion
-	// engine's weak tables on minor collections, where hooks do not run.
-	PreSweep func()
 	// ExplainTrigger, if non-nil, is consulted at the top of every collection
 	// to stamp the record with the mutator-side story behind the Reason
 	// (occupancy, allocation rate, dominant thread). The runtime installs it;
@@ -207,15 +200,11 @@ func (c *Collector) Collect(reason Reason) Collection {
 		c.hooks.PostMark(c)
 	}
 
-	if c.PreSweep != nil {
-		c.PreSweep()
-	}
-
 	if obs != nil {
 		obs.PhaseBegin(PhaseSweep)
 	}
 	t0 = time.Now()
-	sw := c.space.Sweep(c.KeepMarks)
+	sw := c.space.Sweep()
 	col.SweepTime = time.Since(t0)
 	if obs != nil {
 		obs.PhaseEnd(PhaseSweep, col.SweepTime)

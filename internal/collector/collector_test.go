@@ -415,16 +415,3 @@ func TestDuplicateRoots(t *testing.T) {
 		t.Errorf("roots scanned = %d", col.RootsScanned)
 	}
 }
-
-func TestPreSweepRuns(t *testing.T) {
-	s, node := testWorld(t, 1<<20)
-	a, _ := s.Allocate(node, 0)
-	roots := &sliceRoots{slots: []heap.Addr{a}}
-	c := New(s, roots, nil, false)
-	ran := false
-	c.PreSweep = func() { ran = true }
-	c.Collect("t")
-	if !ran {
-		t.Error("PreSweep did not run")
-	}
-}

@@ -17,10 +17,6 @@ const (
 	ReasonForced Reason = "forced"
 )
 
-// Full returns the reason label for a full-heap collection escalated from
-// this reason in generational mode (e.g. "alloc-failure-full").
-func (r Reason) Full() Reason { return r + "-full" }
-
 // Phase identifies one phase of a collection cycle.
 type Phase uint8
 

@@ -502,7 +502,7 @@ func mustPanic(t *testing.T, what string, fn func()) {
 
 // TestDeadVerifiedIsCountedByTheSweep: the engine observes no reclamation
 // itself, so every asserted-dead object the sweep reclaims — small
-// cell or large span, normal or sticky sweep, unreachable on its own or cut
+// cell or large span, unreachable on its own or cut
 // loose in the same cycle by the force-true reaction — counts exactly once in
 // DeadVerified, and the dead row of a cycle's AssertCost, harvested after
 // the sweep, includes it.
@@ -540,19 +540,6 @@ func TestDeadVerifiedIsCountedByTheSweep(t *testing.T) {
 		dead(w, heap.TWordArray, heap.BlockWords+1)
 		w.col.Collect("t")
 		expect(t, w, 1, 0)
-	})
-	t.Run("sticky sweep", func(t *testing.T) {
-		w := newWorld(t)
-		w.col.KeepMarks = true
-		keep := w.alloc(w.node)
-		w.root(keep)
-		dead(w, w.node, 0)
-		dead(w, heap.TWordArray, heap.BlockWords+1)
-		w.col.Collect("t")
-		if !w.space.Marked(keep) {
-			t.Fatal("sticky sweep cleared the survivor's mark")
-		}
-		expect(t, w, 2, 0)
 	})
 	t.Run("freed in the same cycle by force-true", func(t *testing.T) {
 		w := newWorldPolicy(t, DefaultPolicy().With(KindDead, ReactForce))

@@ -200,7 +200,7 @@ func (e *Engine) PostMark(c *collector.Collector) {
 		e.counts[i] = 0
 	}
 
-	e.PruneWeak()
+	e.pruneWeak()
 
 	// Reset per-cycle duplicate suppression.
 	for _, a := range e.logged {
@@ -211,13 +211,11 @@ func (e *Engine) PostMark(c *collector.Collector) {
 	e.logged = e.logged[:0]
 }
 
-// PruneWeak drops registrations for objects whose mark bit is clear. It must
+// pruneWeak drops registrations for objects whose mark bit is clear. It must
 // run between a completed mark phase and the sweep: registrations are weak
 // references, and leaving a stale address in a table would let a recycled
-// cell inherit someone else's assertion. The normal cycle calls it from
-// PostMark; generational minor collections (which skip the hooks) call it
-// through the collector's PreSweep callback.
-func (e *Engine) PruneWeak() {
+// cell inherit someone else's assertion. PostMark calls it.
+func (e *Engine) pruneWeak() {
 	s := e.space
 
 	// Region queues: entries that died inside the region are exactly what

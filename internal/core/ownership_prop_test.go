@@ -9,8 +9,7 @@ package core_test
 // ownee-check count and OwnedPairsLive; after every sweep the ownee side
 // table is checked against its invariant (DESIGN.md, side-table
 // invariant 2) and the heap against its own (heap.Space.Verify, invariants
-// 1 and 3–7). It runs in full-heap and in generational mode (where minor
-// collections sweep without the hooks).
+// 1 and 3–7).
 
 import (
 	"fmt"
@@ -142,7 +141,7 @@ func (m *ownModel) predict() prediction {
 }
 
 // sweep applies a collection's outcome to the model: objects for which
-// alive is false are gone, and the registry is pruned the way PruneWeak
+// alive is false are gone, and the registry is pruned the way pruneWeak
 // prunes it — a dead owner dissolves its whole relation, a live one loses
 // its dead ownees, and a record left without ownees is dropped.
 func (m *ownModel) sweep(alive func(heap.Addr) bool) {
@@ -187,17 +186,13 @@ type ownWorld struct {
 
 // propTally counts how often the hazards the test exists for occurred.
 type propTally struct {
-	owneeCellReuse, ownerAddrReuse, reassigned, improper, ownedBy, dissolved, minors int
+	owneeCellReuse, ownerAddrReuse, reassigned, improper, ownedBy, dissolved int
 }
 
-func newOwnWorld(t *testing.T, seed int64, cfg rt.Config, tally *propTally) *ownWorld {
+func newOwnWorld(t *testing.T, seed int64, tally *propTally) *ownWorld {
 	w := &ownWorld{t: t, rng: rand.New(rand.NewSource(seed)), rep: &core.CollectingReporter{}, tally: tally,
 		deadOwnees: map[heap.Addr]bool{}, deadOwners: map[heap.Addr]bool{}}
-	cfg.Infrastructure = true
-	cfg.Reporter = w.rep
-	cfg.HeapBytes = 8 * heap.BlockBytes
-	cfg.MinorRatio = 1 << 30 // full collections only when the test asks
-	w.vm = rt.New(cfg)
+	w.vm = rt.New(rt.Config{Infrastructure: true, Reporter: w.rep, HeapBytes: 8 * heap.BlockBytes})
 	w.node = w.vm.Define("N", heap.Field{Name: "a", Ref: true}, heap.Field{Name: "b", Ref: true})
 	w.th = w.vm.NewThread("main")
 	w.fr = w.th.Push(propRoots)
@@ -360,30 +355,6 @@ func (w *ownWorld) noteDeaths(alive func(heap.Addr) bool) {
 	}
 }
 
-// minorGC allocates garbage until the generational runtime runs a minor
-// collection, then reconciles the model with what that collection freed:
-// it may free any unreachable object and must free no reachable one.
-func (w *ownWorld) minorGC() {
-	minors := func() uint64 { n, _, _ := w.vm.GenStats(); return n }
-	for before := minors(); minors() == before; {
-		w.th.New(w.node)
-	}
-	w.tally.minors++
-	// Survivors of a minor collection keep their (sticky) mark; the garbage
-	// node whose allocation triggered it may already sit in a freed cell,
-	// and is unmarked.
-	sp := w.vm.Space()
-	alive := func(a heap.Addr) bool { return sp.Contains(a) && sp.Marked(a) }
-	for a := range w.model.reachable() {
-		if !alive(a) {
-			w.t.Fatalf("minor collection freed reachable %#x", uint32(a))
-		}
-	}
-	w.noteDeaths(alive)
-	w.model.sweep(alive)
-	w.check("after minor collection")
-}
-
 // fullGC predicts a full collection, runs it and compares. It first roots
 // every owner the collection would free while a survivor still points to it
 // — a hole that predates the side table and is not this test's subject: an
@@ -462,38 +433,24 @@ func sameSet(t *testing.T, what string, got, want map[heap.Addr]bool) {
 }
 
 func TestPropertyOwnershipDifferential(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		cfg  rt.Config
-	}{
-		{"sequential", rt.Config{}},
-		{"generational", rt.Config{Generational: true}},
-	} {
-		mode := mode
-		t.Run(mode.name, func(t *testing.T) {
-			var tally propTally
-			for seed := int64(1); seed <= propSeeds; seed++ {
-				w := newOwnWorld(t, seed, mode.cfg, &tally)
-				w.mutate(propNodes)
-				w.check("after set-up")
-				for round := 0; round < propRounds; round++ {
-					if mode.cfg.Generational && round%2 == 1 {
-						w.minorGC()
-					} else {
-						w.fullGC()
-					}
-					w.mutate(10)
-					w.check("after mutation")
-				}
+	t.Run("sequential", func(t *testing.T) {
+		var tally propTally
+		for seed := int64(1); seed <= propSeeds; seed++ {
+			w := newOwnWorld(t, seed, &tally)
+			w.mutate(propNodes)
+			w.check("after set-up")
+			for round := 0; round < propRounds; round++ {
 				w.fullGC()
+				w.mutate(10)
+				w.check("after mutation")
 			}
-			t.Logf("%+v", tally)
-			// The generator must keep reaching the cases the test is for.
-			if tally.owneeCellReuse == 0 || tally.ownerAddrReuse == 0 || tally.reassigned == 0 ||
-				tally.improper == 0 || tally.ownedBy == 0 || tally.dissolved == 0 ||
-				(mode.cfg.Generational && tally.minors == 0) {
-				t.Fatalf("a hazard was never exercised: %+v", tally)
-			}
-		})
-	}
+			w.fullGC()
+		}
+		t.Logf("%+v", tally)
+		// The generator must keep reaching the cases the test is for.
+		if tally.owneeCellReuse == 0 || tally.ownerAddrReuse == 0 || tally.reassigned == 0 ||
+			tally.improper == 0 || tally.ownedBy == 0 || tally.dissolved == 0 {
+			t.Fatalf("a hazard was never exercised: %+v", tally)
+		}
+	})
 }

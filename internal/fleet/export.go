@@ -69,7 +69,7 @@ type ExportConfig struct {
 	// URL is the gcfleet collector base URL (envelopes POST to
 	// URL + "/fleet/ingest").
 	URL string
-	// Every exports a census envelope every N full collections (default 1:
+	// Every exports a census envelope every N collections (default 1:
 	// every collection; the dedupe on the collector side makes steady-state
 	// replicas nearly free to report).
 	Every int

@@ -54,7 +54,7 @@ type CostRow struct {
 }
 
 // TypeDelta is one type's live-census change across one recorded cycle,
-// relative to the previous recorded full collection. Negative values mean
+// relative to the previous recorded collection. Negative values mean
 // the type shrank.
 type TypeDelta struct {
 	TypeName string `json:"type_name"`

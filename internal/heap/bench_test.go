@@ -67,7 +67,7 @@ func BenchmarkSweep(b *testing.B) {
 			}
 			for i := 0; i < 3; i++ { // settle block lists and side-table rows
 				refill()
-				s.Sweep(false)
+				s.Sweep()
 			}
 			freed := 0
 			b.ResetTimer()
@@ -76,7 +76,7 @@ func BenchmarkSweep(b *testing.B) {
 				refill()
 				m0 := hostMallocs()
 				b.StartTimer()
-				res := s.Sweep(false)
+				res := s.Sweep()
 				b.StopTimer()
 				if got := hostMallocs() - m0; got != 0 {
 					b.Fatalf("sweep allocated %d times on the host", got)
@@ -108,13 +108,13 @@ func BenchmarkAllocate(b *testing.B) {
 			for ok := true; ok; { // carve every block once
 				_, ok = s.Allocate(TWordArray, bc.n)
 			}
-			s.Sweep(false)
+			s.Sweep()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, ok := s.Allocate(TWordArray, bc.n); !ok {
 					b.StopTimer()
-					s.Sweep(false)
+					s.Sweep()
 					b.StartTimer()
 					i--
 				}

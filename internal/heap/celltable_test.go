@@ -67,7 +67,7 @@ func TestCellTableClearedOnFree(t *testing.T) {
 	tab.Set(dead, 2)
 	other.Set(dead, 3)
 	s.SetMark(live)
-	s.Sweep(false)
+	s.Sweep()
 	if tab.Get(live) != 1 || tab.Get(dead) != 0 || tab.Len() != 1 || other.Len() != 0 {
 		t.Fatalf("after sweep: live=%d dead=%d len=%d other=%d", tab.Get(live), tab.Get(dead), tab.Len(), other.Len())
 	}
@@ -88,7 +88,7 @@ func TestCellTableSurvivesBlockRecarving(t *testing.T) {
 	}
 	tab.Set(last, 5)
 	blk := last.block()
-	s.Sweep(false)
+	s.Sweep()
 	if tab.Len() != 0 || tab.rows[blk] != nil {
 		t.Fatalf("block freed: len=%d, row kept=%v", tab.Len(), tab.rows[blk] != nil)
 	}
@@ -118,7 +118,7 @@ func TestCellTableLargeObject(t *testing.T) {
 	if tab.Get(large) != 4 || tab.Len() != 1 {
 		t.Fatalf("large entry = %d, len %d", tab.Get(large), tab.Len())
 	}
-	s.Sweep(false)
+	s.Sweep()
 	if tab.Get(large) != 0 || tab.Len() != 0 {
 		t.Fatalf("after the span died: entry %d, len %d", tab.Get(large), tab.Len())
 	}

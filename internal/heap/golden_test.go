@@ -42,7 +42,7 @@ func TestAllocationOrderGolden(t *testing.T) {
 				live = append(live, a)
 			}
 		}
-		// Retain a round-dependent share, sticky every fifth round.
+		// Retain a round-dependent share.
 		keep := live[:0]
 		for _, a := range live {
 			if rng.Intn(100) < 15+round%4*20 {
@@ -51,13 +51,7 @@ func TestAllocationOrderGolden(t *testing.T) {
 			}
 		}
 		live = keep
-		sticky := round%5 == 4
-		s.Sweep(sticky)
-		if sticky {
-			for _, a := range live {
-				s.ClearMark(a)
-			}
-		}
+		s.Sweep()
 	}
 	if got := h.Sum64(); got != allocationOrderGolden {
 		t.Fatalf("allocation order hash = %#x, want %#x", got, allocationOrderGolden)

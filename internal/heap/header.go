@@ -38,9 +38,6 @@ const (
 	FlagOwnee Flag = 1 << 4
 	// FlagOwner marks an object registered as an owner.
 	FlagOwner Flag = 1 << 5
-	// FlagRemembered marks a mature object recorded in the generational
-	// remembered set (generational mode only), so it is recorded once.
-	FlagRemembered Flag = 1 << 6
 
 	flagMask = 1<<flagBits - 1
 )

@@ -157,7 +157,7 @@ func TestHeaderFlags(t *testing.T) {
 	reg, node, _ := testRegistry(t)
 	s := NewSpace(reg, 1<<20)
 	a, _ := s.Allocate(node, 0)
-	for _, f := range []Flag{FlagMark, FlagDead, FlagUnshared, FlagOwned, FlagOwnee, FlagOwner, FlagRemembered} {
+	for _, f := range []Flag{FlagMark, FlagDead, FlagUnshared, FlagOwned, FlagOwnee, FlagOwner} {
 		if s.HasFlag(a, f) {
 			t.Errorf("flag %x set on fresh object", f)
 		}
@@ -211,7 +211,7 @@ func TestLargeObjects(t *testing.T) {
 		t.Error("Contains(large) = false")
 	}
 	// Free it: unmarked sweep reclaims the whole span.
-	res := s.Sweep(false)
+	res := s.Sweep()
 	if res.ObjectsFreed != 1 {
 		t.Errorf("freed = %d, want 1", res.ObjectsFreed)
 	}
@@ -242,7 +242,7 @@ func TestSweepRecyclesAndKeepsSurvivors(t *testing.T) {
 			doomed = append(doomed, a)
 		}
 	}
-	res := s.Sweep(false)
+	res := s.Sweep()
 	if res.ObjectsFreed != 500 || res.ObjectsLive != 500 {
 		t.Fatalf("sweep freed=%d live=%d", res.ObjectsFreed, res.ObjectsLive)
 	}
@@ -270,21 +270,6 @@ func TestSweepRecyclesAndKeepsSurvivors(t *testing.T) {
 	}
 }
 
-func TestSweepKeepMarks(t *testing.T) {
-	reg, node, _ := testRegistry(t)
-	s := NewSpace(reg, 1<<20)
-	a, _ := s.Allocate(node, 0)
-	s.SetMark(a)
-	s.Sweep(true)
-	if !s.Marked(a) {
-		t.Error("sticky sweep cleared mark")
-	}
-	s.Sweep(false)
-	if s.Marked(a) {
-		t.Error("normal sweep kept mark")
-	}
-}
-
 func TestExhaustionReturnsFalse(t *testing.T) {
 	reg, _, _ := testRegistry(t)
 	s := NewSpace(reg, 2*BlockBytes) // minimum: 1 usable block
@@ -305,7 +290,7 @@ func TestExhaustionReturnsFalse(t *testing.T) {
 		t.Fatal("nothing allocated before exhaustion")
 	}
 	// After a full sweep (nothing marked), allocation works again.
-	s.Sweep(false)
+	s.Sweep()
 	if _, ok := s.Allocate(TWordArray, 100); !ok {
 		t.Fatal("allocation after sweep failed")
 	}
@@ -424,7 +409,7 @@ func TestStatsAccounting(t *testing.T) {
 	if st.ObjectsAllocated != 10 || st.LiveObjects != 10 {
 		t.Errorf("stats after alloc: %+v", st)
 	}
-	s.Sweep(false)
+	s.Sweep()
 	st = s.Stats()
 	if st.ObjectsFreed != 10 || st.LiveObjects != 0 {
 		t.Errorf("stats after sweep: %+v", st)
@@ -443,7 +428,7 @@ func TestLargeObjectStatsBalance(t *testing.T) {
 		if _, ok := s.Allocate(TWordArray, BlockWords+100); !ok {
 			t.Fatal("alloc failed")
 		}
-		s.Sweep(false) // everything unmarked: freed immediately
+		s.Sweep() // everything unmarked: freed immediately
 	}
 	st := s.Stats()
 	if st.LiveObjects != 0 || st.LiveWords != 0 {
@@ -451,28 +436,6 @@ func TestLargeObjectStatsBalance(t *testing.T) {
 	}
 	if int64(st.LiveWords) < 0 || st.LiveWords > uint64(s.CapacityWords()) {
 		t.Fatalf("LiveWords out of range: %d", st.LiveWords)
-	}
-}
-
-func TestWriteBarrierFires(t *testing.T) {
-	reg, node, _ := testRegistry(t)
-	s := NewSpace(reg, 1<<20)
-	var fired []Addr
-	s.WriteBarrier = func(src, val Addr) { fired = append(fired, src) }
-	a, _ := s.Allocate(node, 0)
-	b, _ := s.Allocate(node, 0)
-	s.SetRef(a, 0, b)
-	if len(fired) != 1 || fired[0] != a {
-		t.Errorf("barrier on SetRef: %v", fired)
-	}
-	s.SetRef(a, 0, Nil) // nil stores do not need the barrier
-	if len(fired) != 1 {
-		t.Error("barrier fired on nil store")
-	}
-	arr, _ := s.Allocate(TRefArray, 2)
-	s.SetRefAt(arr, 0, b)
-	if len(fired) != 2 || fired[1] != arr {
-		t.Errorf("barrier on SetRefAt: %v", fired)
 	}
 }
 
@@ -530,11 +493,11 @@ func TestAllocLargeDoesNotAllocateOnTheHost(t *testing.T) {
 		if a, ok := s.allocLarge(TWordArray, 5*BlockWords-1, 5*BlockWords); !ok || !s.Contains(a) {
 			t.Fatal("large allocation failed")
 		}
-		s.Sweep(false)
+		s.Sweep()
 		if a, ok := s.allocLarge(TWordArray, 2*BlockWords-1, 2*BlockWords); !ok || !s.Contains(a) {
 			t.Fatal("large allocation after the sweep failed")
 		}
-		s.Sweep(false)
+		s.Sweep()
 	}
 	if n := testing.AllocsPerRun(20, churn); n != 0 {
 		t.Fatalf("%v host allocations per alloc/sweep round, want 0", n)
@@ -545,8 +508,8 @@ func TestAllocLargeDoesNotAllocateOnTheHost(t *testing.T) {
 }
 
 // TestDeadFreedCountsFlaggedCellsOnly: Stats.DeadFreed is the number of
-// reclaimed objects that carried FlagDead — small, large, sticky sweep or
-// not — and a survivor's flag is left for the sweep that frees it.
+// reclaimed objects that carried FlagDead, small or large, and a survivor's
+// flag is left for the sweep that frees it.
 func TestDeadFreedCountsFlaggedCellsOnly(t *testing.T) {
 	reg, node, _ := testRegistry(t)
 	s := NewSpace(reg, 1<<20)
@@ -560,14 +523,13 @@ func TestDeadFreedCountsFlaggedCellsOnly(t *testing.T) {
 	mustAlloc(t, s, node, 0) // dies unflagged
 	survivor := flagged(node, 0)
 	s.SetMark(survivor)
-	if res := s.Sweep(true); res.ObjectsFreed != 3 || s.Stats().DeadFreed != 2 {
-		t.Fatalf("sticky sweep freed %d, DeadFreed %d; want 3 and 2", res.ObjectsFreed, s.Stats().DeadFreed)
+	if res := s.Sweep(); res.ObjectsFreed != 3 || s.Stats().DeadFreed != 2 {
+		t.Fatalf("first sweep freed %d, DeadFreed %d; want 3 and 2", res.ObjectsFreed, s.Stats().DeadFreed)
 	}
-	s.ClearMark(survivor)
-	if res := s.Sweep(false); res.ObjectsFreed != 1 || s.Stats().DeadFreed != 3 {
+	if res := s.Sweep(); res.ObjectsFreed != 1 || s.Stats().DeadFreed != 3 {
 		t.Fatalf("second sweep freed %d, DeadFreed %d; want 1 and 3", res.ObjectsFreed, s.Stats().DeadFreed)
 	}
-	s.Sweep(false) // nothing allocated: stale headers in free cells are never read
+	s.Sweep() // nothing allocated: stale headers in free cells are never read
 	if s.Stats().DeadFreed != 3 {
 		t.Fatalf("DeadFreed moved to %d on an empty heap", s.Stats().DeadFreed)
 	}

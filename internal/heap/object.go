@@ -25,16 +25,13 @@ func (s *Space) GetRef(a Addr, slot int) Addr {
 }
 
 // SetRef stores val into the reference field at the given slot of the object
-// at a, running the write barrier if one is installed.
+// at a.
 func (s *Space) SetRef(a Addr, slot int, val Addr) {
 	ti := s.checkField(a, slot)
 	if !ti.Fields[slot].Ref {
 		panic(fmt.Sprintf("heap: SetRef of scalar field %s.%s", ti.Name, ti.Fields[slot].Name))
 	}
 	s.words[a.word()+uint32(1+slot)] = uint64(val)
-	if s.WriteBarrier != nil && val != Nil {
-		s.WriteBarrier(a, val)
-	}
 }
 
 // GetScalar loads the scalar field at the given slot of the object at a.
@@ -76,16 +73,12 @@ func (s *Space) RefAt(a Addr, i int) Addr {
 	return Addr(s.words[a.word()+uint32(1+i)])
 }
 
-// SetRefAt stores val into element i of the reference array at a, running
-// the write barrier if one is installed.
+// SetRefAt stores val into element i of the reference array at a.
 func (s *Space) SetRefAt(a Addr, i int, val Addr) {
 	if ti := s.checkIndex(a, i); ti.Kind != KindRefArray {
 		panic(fmt.Sprintf("heap: SetRefAt on %s", ti.Name))
 	}
 	s.words[a.word()+uint32(1+i)] = uint64(val)
-	if s.WriteBarrier != nil && val != Nil {
-		s.WriteBarrier(a, val)
-	}
 }
 
 // WordAt loads element i of the scalar array at a.
@@ -147,9 +140,9 @@ func (s *Space) RefSlots(a Addr) int {
 }
 
 // ClearRefSlot stores nil into the given reference slot (field slot for
-// objects, element index for arrays) without running the write barrier.
-// The assertion engine's force-true reaction uses it to sever the reference
-// that keeps an asserted-dead object alive.
+// objects, element index for arrays). The assertion engine's force-true
+// reaction uses it to sever the reference that keeps an asserted-dead object
+// alive.
 func (s *Space) ClearRefSlot(a Addr, slot int) {
 	ti := s.reg.Info(s.TypeOf(a))
 	switch ti.Kind {

@@ -54,8 +54,7 @@ func TestAllocSweepModel(t *testing.T) {
 					_ = o
 				}
 			}
-			sticky := round%3 == 2
-			res := s.Sweep(sticky)
+			res := s.Sweep()
 			if res.ObjectsLive != len(live) {
 				t.Logf("seed %d round %d: sweep live=%d model=%d", seed, round, res.ObjectsLive, len(live))
 				return false
@@ -63,11 +62,6 @@ func TestAllocSweepModel(t *testing.T) {
 			if err := s.Verify(); err != nil {
 				t.Logf("seed %d round %d: Verify: %v", seed, round, err)
 				return false
-			}
-			if sticky {
-				for a := range live {
-					s.ClearMark(a)
-				}
 			}
 			// Contents of survivors are intact; addresses valid.
 			for a, o := range live {
@@ -122,7 +116,7 @@ func TestFreeListNoOverlap(t *testing.T) {
 		}
 		addrs = append(addrs, a)
 	}
-	s.Sweep(false) // free everything
+	s.Sweep() // free everything
 	// Re-fill with a different mix, stamping each object.
 	type span struct{ start, end uint32 }
 	var spans []span

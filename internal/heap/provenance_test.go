@@ -51,7 +51,7 @@ func TestProvenanceExhaustiveRecordAndSweep(t *testing.T) {
 	// Sweep with only a1 marked: a2's entry must be forgotten so a recycled
 	// cell cannot inherit it.
 	s.SetMark(a1)
-	s.Sweep(false)
+	s.Sweep()
 	if s.SiteOf(a1) != site {
 		t.Fatal("survivor lost its site across sweep")
 	}
@@ -103,5 +103,5 @@ func TestProvenanceDisabledIsInert(t *testing.T) {
 		t.Fatal("disabled provenance must report the unknown site")
 	}
 	s.SetMark(a)
-	s.Sweep(false) // reclamation path with prov == nil
+	s.Sweep() // reclamation path with prov == nil
 }

@@ -102,14 +102,6 @@ type Space struct {
 	// cell; the allocator services requests from the last entry.
 	partial [numClasses][]uint32
 
-	// WriteBarrier, when non-nil, is invoked on every reference store
-	// (SetRef/SetRefAt) with the source object and new value. The
-	// generational collector uses it to maintain its remembered set.
-	WriteBarrier func(src, val Addr)
-
-	// keepMarks is the sticky-marks setting of the latest sweep.
-	keepMarks bool
-
 	// prov is the allocation-site provenance table; nil (the default) costs
 	// one nil-check on the sited-allocation path.
 	prov *Provenance

@@ -13,18 +13,16 @@ type SweepResult struct {
 }
 
 // Sweep reclaims every allocated object whose mark bit is clear by clearing
-// its alloc bit, and returns empty blocks to the block pool. Survivors' mark
-// bits are cleared unless keepMarks is set (sticky marks, used by the
-// generational mode). It visits allocated cells only and stores into no free
+// its alloc bit, clears the survivors' mark bits, and returns empty blocks to
+// the block pool. It visits allocated cells only and stores into no free
 // cell: it costs what was allocated, not what the heap holds. Reclaimed
 // objects whose header carries FlagDead are counted into Stats.DeadFreed,
 // the assertion engine's DeadVerified.
 //
 // Sweep corresponds to the sweep phase of the paper's MarkSweep collector;
 // the collector package calls it after tracing.
-func (s *Space) Sweep(keepMarks bool) SweepResult {
+func (s *Space) Sweep() SweepResult {
 	var res SweepResult
-	s.keepMarks = keepMarks
 	for class := range s.partial {
 		s.partial[class] = s.partial[class][:0]
 	}
@@ -56,9 +54,7 @@ func (s *Space) sweepSmallBlock(bi uint32, b *blockInfo, res *SweepResult) {
 			hw := base + uint32(c*cellWords)
 			h := s.words[hw]
 			if h&uint64(FlagMark) != 0 {
-				if !s.keepMarks {
-					s.words[hw] = h &^ uint64(FlagMark)
-				}
+				s.words[hw] = h &^ uint64(FlagMark)
 				continue
 			}
 			// Unreachable: reclaim. Which dying cells carry FlagDead follows
@@ -97,9 +93,7 @@ func (s *Space) sweepLargeSpan(bi uint32, b *blockInfo, res *SweepResult) {
 	hw := blockStart(bi).word()
 	h := s.words[hw]
 	if h&uint64(FlagMark) != 0 {
-		if !s.keepMarks {
-			s.words[hw] = h &^ uint64(FlagMark)
-		}
+		s.words[hw] = h &^ uint64(FlagMark)
 		return
 	}
 	if h&uint64(FlagDead) != 0 {

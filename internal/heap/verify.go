@@ -53,8 +53,8 @@ func (s *Space) Verify() error {
 					return fmt.Errorf("span at %d: block %d is not a continuation", bi, bi+i)
 				}
 			}
-			if !s.keepMarks && s.Marked(blockStart(bi)) {
-				return fmt.Errorf("span at %d carries FlagMark after a non-sticky sweep", bi)
+			if s.Marked(blockStart(bi)) {
+				return fmt.Errorf("span at %d carries FlagMark after a sweep", bi)
 			}
 			objs++
 			words += uint64(b.spanLen) * BlockWords
@@ -89,13 +89,10 @@ func (s *Space) verifyCarved(bi uint32, b *blockInfo, nPartial int) error {
 		}
 		m := b.cellBits(w)
 		n += bits.OnesCount64(m)
-		if s.keepMarks {
-			continue
-		}
 		for ; m != 0; m &= m - 1 {
 			c := w<<6 + bits.TrailingZeros64(m)
 			if a := blockStart(bi) + Addr(c*cellWords*WordBytes); s.Marked(a) {
-				return fmt.Errorf("%#x carries FlagMark after a non-sticky sweep", uint32(a))
+				return fmt.Errorf("%#x carries FlagMark after a sweep", uint32(a))
 			}
 		}
 	}

@@ -25,7 +25,7 @@ func verifyWorld(t *testing.T) (s *Space, tab *CellTable, survivor Addr) {
 	}
 	s.SetMark(mustAlloc(t, s, TWordArray, 2)) // three-word cells: a class with pad bits
 	s.SetMark(mustAlloc(t, s, TWordArray, BlockWords+3))
-	s.Sweep(false)
+	s.Sweep()
 	return s, tab, survivor
 }
 
@@ -37,7 +37,7 @@ func TestVerifyHoldsThroughAllocAndSweep(t *testing.T) {
 			t.Fatalf("%s: %v", when, err)
 		}
 	}
-	check("after a non-sticky sweep")
+	check("after a sweep")
 	for i := 0; i < 2000; i++ { // fills blocks (lazy partial pop) and carves new ones
 		if _, ok := s.Allocate(TWordArray, i%9); !ok {
 			break
@@ -45,10 +45,9 @@ func TestVerifyHoldsThroughAllocAndSweep(t *testing.T) {
 	}
 	check("after allocation")
 	s.ForEachObject(func(a Addr) bool { s.SetMark(a); return true })
-	s.Sweep(true)
-	check("after a sticky sweep")
-	s.ForEachObject(func(a Addr) bool { s.ClearMark(a); return true })
-	s.Sweep(false)
+	s.Sweep()
+	check("after a sweep everything survived")
+	s.Sweep()
 	check("after everything died")
 	if st := s.Stats(); st.LiveObjects != 0 || st.LiveWords != 0 {
 		t.Fatalf("stats after everything died: %+v", st)
@@ -103,7 +102,7 @@ func TestVerifyCatchesEachInvariant(t *testing.T) {
 		{"5: LiveWords drifts", "stats say", func(s *Space, _ *CellTable, _ Addr) {
 			s.stats.LiveWords--
 		}},
-		{"6: a mark outlives a non-sticky sweep", "FlagMark", func(s *Space, _ *CellTable, survivor Addr) {
+		{"6: a mark outlives a sweep", "FlagMark", func(s *Space, _ *CellTable, survivor Addr) {
 			s.SetMark(survivor)
 		}},
 		{"7: a table entry sits on a free cell", "on free cell", func(s *Space, tab *CellTable, survivor Addr) {

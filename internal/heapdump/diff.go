@@ -85,9 +85,7 @@ func RankSuspects(snaps []Snapshot, top int) []Suspect {
 	words := make([]float64, len(snaps))
 	objects := make([]float64, len(snaps))
 	for t, pts := range series {
-		// Slope against snapshot index, not GC seq: snapshot spacing in GC
-		// numbers is uniform for a single collector, and index keeps
-		// minor/full interleavings sane.
+		// Slope against snapshot index, not GC seq.
 		for i, p := range pts {
 			words[i] = float64(p.words)
 			objects[i] = float64(p.objects)

@@ -17,8 +17,6 @@ type RunOptions struct {
 	// Reporter receives assertion violations; nil installs a collecting
 	// reporter returned in the Result.
 	Reporter gcassert.Reporter
-	// Generational selects the generational collector mode.
-	Generational bool
 	// MaxSteps bounds guest execution (0 = unlimited).
 	MaxSteps uint64
 	// Optimize runs the peephole bytecode optimizer before execution.
@@ -77,7 +75,6 @@ func CompileAndRun(src string, opt RunOptions) (*Result, error) {
 		HeapBytes:      opt.HeapBytes,
 		Infrastructure: true,
 		Reporter:       rep,
-		Generational:   opt.Generational,
 		Provenance:     prov,
 		FlightRecorder: opt.FlightRecorder,
 	})

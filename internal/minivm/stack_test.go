@@ -124,8 +124,7 @@ func TestRootPrecision(t *testing.T) {
 	srcs := exampleSources(t)
 	srcs["deep-then-shallow"] = deepThenShallow
 	modes := map[string]gcassert.Options{
-		"sequential":   {},
-		"generational": {Generational: true},
+		"sequential": {},
 	}
 	for mode, opts := range modes {
 		for name, src := range srcs {

@@ -1,16 +1,13 @@
 package rt
 
 import (
-	"gcassert/internal/collector"
 	"gcassert/internal/fleet"
 	"gcassert/internal/version"
 )
 
 // initFleet wires the fleet exporter: census envelopes ship every
-// FleetEvery full collections, flight bundles on violation, both sealed
-// under this runtime's identity and registry ref. The exporter observes
-// last — after the census and flight observers — so by the time its GCEnd
-// runs, the cycle's snapshot and recorder state are already in place.
+// FleetEvery collections, flight bundles on violation, both sealed
+// under this runtime's identity and registry ref.
 // Network sends happen on the exporter's own goroutine; a dead collector
 // costs the GC nothing.
 func (r *Runtime) initFleet(cfg Config) {
@@ -27,11 +24,7 @@ func (r *Runtime) initFleet(cfg Config) {
 		fx.SetBundleSource(r.flight.Bundle)
 	}
 	r.fleetx = fx
-	if prev := r.gc.Observer; prev != nil {
-		r.gc.Observer = collector.TeeObserver{prev, fx}
-	} else {
-		r.gc.Observer = fx
-	}
+	r.observe(fx)
 }
 
 // Identity returns the instance identity stamped on exported artifacts

@@ -3,19 +3,13 @@ package rt
 import (
 	"sort"
 
-	"gcassert/internal/collector"
 	"gcassert/internal/core"
 	"gcassert/internal/flight"
 	"gcassert/internal/heap"
 )
 
-// initFlight wires the flight recorder into the full collector's observer
-// chain and installs its data sources. Like the census, the recorder is
-// attached only to r.gc: generational minor traces visit just the nursery,
-// and recording them as cycles would make the ring's census deltas and kind
-// activity nonsense. It is appended after the census observer so that by
-// the time its GCEnd runs, the census already holds the cycle's snapshot
-// and the delta can be computed against it.
+// initFlight wires the flight recorder into the collector's observer chain
+// and installs its data sources.
 func (r *Runtime) initFlight() {
 	fr := r.flight
 	if r.engine != nil {
@@ -25,11 +19,7 @@ func (r *Runtime) initFlight() {
 		fr.SetCensusSource(r.census.Latest)
 	}
 	fr.SetProfileSource(r.siteProfile)
-	if prev := r.gc.Observer; prev != nil {
-		r.gc.Observer = collector.TeeObserver{prev, fr}
-	} else {
-		r.gc.Observer = fr
-	}
+	r.observe(fr)
 }
 
 // flightViolation converts an engine violation into the flight recorder's

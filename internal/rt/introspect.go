@@ -1,29 +1,19 @@
 package rt
 
 import (
-	"gcassert/internal/collector"
 	"gcassert/internal/heapdump"
 	"gcassert/internal/telemetry"
 )
 
-// initIntrospection wires the heap census into the full collector: the
-// Observe callback on the mark hot path, the Observer lifecycle for snapshot
+// initIntrospection wires the heap census into the collector: the Observe
+// callback on the mark hot path, the Observer lifecycle for snapshot
 // capture, and — when telemetry is also enabled — per-type census gauges in
 // the metrics registry.
-//
-// Only r.gc (the full collector) is instrumented. In generational mode the
-// minor collector keeps whatever Observer it copied at init; its traces
-// visit only the nursery plus remembered set, so feeding them to the census
-// would record partial heaps as if they were full snapshots.
 func (r *Runtime) initIntrospection(cfg Config) {
 	census := heapdump.NewCensus(r.space, heapdump.Config{Ring: cfg.CensusRingSize})
 	r.census = census
 	r.gc.OnMark = census.Observe
-	if prev := r.gc.Observer; prev != nil {
-		r.gc.Observer = collector.TeeObserver{prev, census}
-	} else {
-		r.gc.Observer = census
-	}
+	r.observe(census)
 	if r.tel != nil {
 		pub := &censusPublisher{reg: r.tel.Registry()}
 		census.SetOnSnapshot(pub.publish)

@@ -66,10 +66,6 @@ type pressure struct {
 	lastWords uint64
 	ewmaWps   float64
 
-	// escalating is set by the allocation path around a minor→full
-	// escalation, so the explainer can tell it apart from a ratio rollover.
-	escalating bool
-
 	// siteNow/sitePrev are reusable per-site counter buffers for
 	// dominant-site attribution (nothing is allocated once the site set is
 	// stable).
@@ -146,38 +142,18 @@ func (p *pressure) explain(reason collector.Reason) collector.Trigger {
 		p.siteNow, p.sitePrev = p.sitePrev, p.siteNow
 	}
 
-	tr.Why = p.why(reason, occ)
+	tr.Why = why(reason, occ)
 	return tr
 }
 
 // why renders the one-line explanation for the reason, in trigger-cause
 // terms rather than mechanism terms.
-func (p *pressure) why(reason collector.Reason, occ float64) string {
-	g := p.r.gen
+func why(reason collector.Reason, occ float64) string {
 	switch reason {
 	case collector.ReasonAllocFailure:
-		if g != nil {
-			return fmt.Sprintf("heap exhausted at %.0f%% occupancy; minor (sticky-mark) collection %d/%d since last full",
-				occ, g.sinceFull+1, g.ratio)
-		}
 		return fmt.Sprintf("heap exhausted at %.0f%% occupancy", occ)
-	case collector.ReasonAllocFailure.Full():
-		switch {
-		case p.escalating:
-			return fmt.Sprintf("minor collection freed too little; escalated to full heap at %.0f%% occupancy", occ)
-		case g != nil && g.sinceFull >= g.ratio:
-			return fmt.Sprintf("minor-GC ratio rollover (%d minors since last full); full collection at %.0f%% occupancy",
-				g.sinceFull, occ)
-		default:
-			return fmt.Sprintf("heap exhausted at %.0f%% occupancy; full collection", occ)
-		}
 	case collector.ReasonForced:
-		if g != nil {
-			return "explicit Collect call (full heap)"
-		}
 		return "explicit Collect call"
-	case collector.ReasonForced.Full():
-		return "explicit Collect call escalated to full heap"
 	default:
 		return fmt.Sprintf("collection requested (%s) at %.0f%% occupancy", reason, occ)
 	}

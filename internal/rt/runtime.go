@@ -43,14 +43,6 @@ type Config struct {
 	Policy core.Policy
 	// Registry supplies a pre-built type registry; nil creates a fresh one.
 	Registry *heap.Registry
-	// Generational enables the sticky-mark-bit generational mode: minor
-	// collections trace only newly allocated objects (plus remembered-set
-	// entries) and assertions are checked only at full-heap collections, as
-	// the paper discusses for generational collectors (§2.2).
-	Generational bool
-	// MinorRatio, in generational mode, triggers a full collection after
-	// this many minor collections (default 4).
-	MinorRatio int
 	// LogWriter, if non-nil, receives a WriterReporter in addition to
 	// Reporter.
 	LogWriter io.Writer
@@ -104,12 +96,12 @@ type Config struct {
 	// FlightRecorder (violation forensics); without both there is nothing
 	// to ship.
 	FleetURL string
-	// FleetEvery exports a census envelope every N full collections
+	// FleetEvery exports a census envelope every N collections
 	// (default 1 — the collector dedupes identical content, so steady-state
 	// replicas are nearly free to report).
 	FleetEvery int
 	// Introspection enables the heap-introspection layer: a per-type census
-	// taken during every full collection's mark phase (one callback per
+	// taken during every collection's mark phase (one callback per
 	// marked object), snapshot diffing with leak-suspect ranking, and
 	// on-demand dominator/retained-size analysis, reachable through
 	// Runtime.Census(). Disabled, the mark hot path pays one nil-check per
@@ -131,7 +123,6 @@ type Runtime struct {
 	globals  []heap.Addr
 	globNams []string
 
-	gen      *generational
 	tel      *telemetry.Tracer
 	census   *heapdump.Census
 	flight   *flight.Recorder
@@ -210,32 +201,22 @@ func New(cfg Config) *Runtime {
 		hooks = r.engine
 	}
 	r.gc = collector.New(r.space, (*rootScanner)(r), hooks, cfg.Infrastructure)
+	// Observers run in the order they are added here, and one ordering is
+	// load-bearing: census before flight recorder before fleet exporter,
+	// because each reads what the one before it recorded for the cycle.
 	if r.tel != nil {
-		r.gc.Observer = newTelemetrySink(r, r.tel)
+		r.observe(newTelemetrySink(r, r.tel))
 	}
 	if cfg.CostAttribution {
-		// Attribution before the generational split: initGenerational copies
-		// the explainer (like the Observer) onto the minor collector, so
-		// minor collections are explained too.
 		if r.engine != nil {
 			r.engine.EnableCostAttribution()
 		}
 		r.pressure = newPressure(r)
 		r.gc.ExplainTrigger = r.pressure.explain
 	}
-	if cfg.Generational {
-		r.initGenerational(cfg)
-	}
-	// Introspection is wired after the generational mode: initGenerational
-	// copies r.gc.Observer into the minor collector, and the census must see
-	// only full collections — a minor trace visits just the nursery, so a
-	// census of it would be a partial (and misleading) snapshot.
 	if cfg.Introspection {
 		r.initIntrospection(cfg)
 	}
-	// The flight recorder observes after the generational split for the same
-	// reason as the census: it records full collections, where assertions
-	// are checked and the census is taken.
 	if r.flight != nil {
 		r.initFlight()
 	}
@@ -256,12 +237,18 @@ func New(cfg Config) *Runtime {
 			telemetry.Label{Name: "instance", Value: r.identity.InstanceID},
 		).Set(1)
 	}
-	// The fleet exporter observes last: census and flight state for the
-	// cycle must exist before it seals envelopes.
 	if cfg.FleetURL != "" {
 		r.initFleet(cfg)
 	}
 	return r
+}
+
+// observe appends o to the collector's observers.
+func (r *Runtime) observe(o collector.Observer) {
+	if prev := r.gc.Observer; prev != nil {
+		o = collector.TeeObserver{prev, o}
+	}
+	r.gc.Observer = o
 }
 
 // Space exposes the heap for field and array access.
@@ -315,11 +302,8 @@ func (r *Runtime) AllocSite(a heap.Addr) (heap.SiteID, string) {
 // called.
 func (r *Runtime) SetRequestTag(tag string) { r.gc.SetRequestTag(tag) }
 
-// Collect forces a full collection.
+// Collect forces a collection.
 func (r *Runtime) Collect() collector.Collection {
-	if r.gen != nil {
-		return r.gen.fullCollect(collector.ReasonForced)
-	}
 	return r.gc.Collect(collector.ReasonForced)
 }
 
@@ -336,7 +320,7 @@ func (r *Runtime) NewGlobal(name string) int {
 }
 
 // SetGlobal stores a reference in a global slot. Globals are scanned as
-// roots at every collection, so no write barrier is needed for them.
+// roots at every collection.
 func (r *Runtime) SetGlobal(g int, v heap.Addr) { r.globals[g] = v }
 
 // GetGlobal loads a global slot.
@@ -366,9 +350,6 @@ func (rs *rootScanner) Roots(yield func(collector.Root)) {
 				yield(collector.Root{Slot: &f.slots[j], Desc: f.desc})
 			}
 		}
-	}
-	if r.gen != nil {
-		r.gen.extraRoots(yield)
 	}
 }
 
@@ -401,7 +382,7 @@ func (r *Runtime) AssertOwnedBy(owner, ownee heap.Addr) {
 }
 
 // OOMError is the panic payload raised when the heap cannot satisfy an
-// allocation even after a full collection.
+// allocation even after a collection.
 type OOMError struct {
 	// Type is the type being allocated; Len the array length.
 	Type heap.TypeID

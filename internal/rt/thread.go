@@ -102,8 +102,7 @@ func (f *Frame) grow(n int) {
 	f.slots = grown
 }
 
-// New allocates an object of type typ, collecting (and, in generational
-// mode, escalating from minor to full collection) when the heap is
+// New allocates an object of type typ, collecting when the heap is
 // exhausted. It panics with *OOMError if memory cannot be found.
 func (t *Thread) New(typ heap.TypeID) heap.Addr { return t.alloc(typ, 0, 0) }
 
@@ -125,21 +124,8 @@ func (t *Thread) alloc(typ heap.TypeID, n int, site heap.SiteID) heap.Addr {
 	r := t.rt
 	a, ok := r.space.Allocate(typ, n)
 	if !ok {
-		r.collectForAlloc()
+		r.gc.Collect(collector.ReasonAllocFailure)
 		a, ok = r.space.Allocate(typ, n)
-		if !ok && r.gen != nil {
-			// Minor collection was not enough: escalate to a full cycle. The
-			// pressure tracker is told, so the trigger explainer can tell an
-			// escalation from a ratio rollover.
-			if r.pressure != nil {
-				r.pressure.escalating = true
-			}
-			r.gen.fullCollect(collector.ReasonAllocFailure.Full())
-			if r.pressure != nil {
-				r.pressure.escalating = false
-			}
-			a, ok = r.space.Allocate(typ, n)
-		}
 		if !ok {
 			panic(&OOMError{Type: typ, Len: n, Live: r.space.Stats()})
 		}
@@ -155,15 +141,6 @@ func (t *Thread) alloc(typ heap.TypeID, n int, site heap.SiteID) heap.Addr {
 		r.engine.RecordRegionAlloc(t.id, a)
 	}
 	return a
-}
-
-// collectForAlloc runs the collection policy for an allocation failure.
-func (r *Runtime) collectForAlloc() {
-	if r.gen != nil {
-		r.gen.collect(collector.ReasonAllocFailure)
-		return
-	}
-	r.gc.Collect(collector.ReasonAllocFailure)
 }
 
 // StartRegion opens a start-region bracket on this thread (§2.3.2): every

@@ -61,9 +61,7 @@ type ThreadAlloc struct {
 
 // Event is the structured record of one collection cycle.
 type Event struct {
-	// Seq is the tracer-assigned monotonic sequence number (distinct from
-	// the collector's own count in generational mode, where minor and full
-	// collectors number independently).
+	// Seq is the tracer-assigned monotonic sequence number.
 	Seq uint64 `json:"seq"`
 	// Reason is the collection's trigger label.
 	Reason string `json:"reason"`

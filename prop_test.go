@@ -266,23 +266,26 @@ func TestPropertyViolationPathsAreReal(t *testing.T) {
 
 // TestPropertyCollectionPreservesGraph: after arbitrary collections, every
 // surviving edge still reads back exactly as mirrored (no corruption, no
-// premature frees), across repeated mutate/collect rounds — in full-heap
-// mode, and in generational mode on a heap small enough that each round's
-// garbage forces minor collections before the explicit full one. The heap's
-// layout invariants are verified after every collection.
+// premature frees), across repeated mutate/collect rounds — collected only
+// by explicit Collect calls on a roomy heap, and on a heap small enough that
+// each round's garbage forces allocation-triggered collections before the
+// explicit one. The heap's layout invariants are verified after every
+// collection.
 func TestPropertyCollectionPreservesGraph(t *testing.T) {
 	t.Run("full-heap", func(t *testing.T) {
-		testCollectionPreservesGraph(t, gcassert.Options{HeapBytes: 8 << 20})
+		testCollectionPreservesGraph(t, 8<<20, 0)
 	})
-	t.Run("generational", func(t *testing.T) {
-		testCollectionPreservesGraph(t, gcassert.Options{HeapBytes: 4 * 32 << 10, Generational: true, MinorRatio: 2})
+	t.Run("alloc-triggered", func(t *testing.T) {
+		testCollectionPreservesGraph(t, 4*32<<10, 12_000)
 	})
 }
 
-func testCollectionPreservesGraph(t *testing.T, opts gcassert.Options) {
+// testCollectionPreservesGraph allocates churn garbage objects per round
+// before the round's explicit collection.
+func testCollectionPreservesGraph(t *testing.T, heapBytes, churn int) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		w := newGraphWorldOpts(t, 100, 5, rng, opts)
+		w := newGraphWorldOpts(t, 100, 5, rng, gcassert.Options{HeapBytes: heapBytes})
 		for round := 0; round < 5; round++ {
 			// Random mutations among currently-live objects.
 			live := w.reachable()
@@ -312,14 +315,14 @@ func testCollectionPreservesGraph(t *testing.T, opts gcassert.Options) {
 					w.fr.Set(i, w.roots[i])
 				}
 			}
-			if opts.Generational {
+			if churn > 0 {
 				// Garbage enough to fill the three usable blocks more than
-				// once: allocation-triggered minors and a rollover full.
-				gcs := w.vm.GCStats().Collections + w.vm.MinorGCStats().Collections
-				for i := 0; i < 12_000; i++ {
+				// once.
+				gcs := w.vm.GCStats().Collections
+				for i := 0; i < churn; i++ {
 					w.th.New(w.node)
 				}
-				if w.vm.GCStats().Collections+w.vm.MinorGCStats().Collections < gcs+2 {
+				if w.vm.GCStats().Collections < gcs+2 {
 					t.Logf("seed %d round %d: the churn did not trigger collections", seed, round)
 					return false
 				}
