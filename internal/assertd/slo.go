@@ -156,9 +156,9 @@ func sloStateNum(state string) int64 {
 }
 
 // updateSLOMetrics refreshes the tenant's gcassertd_slo_* series from a
-// status document. Registration is idempotent, so lazily looking series up
-// per refresh is cheap and new objectives (after a PUT) appear on the next
-// refresh.
+// status document. It runs after every command, so it looks each series up
+// again rather than caching it: a registry hit takes one lock and allocates
+// nothing, and new objectives (after a PUT) appear on the next refresh.
 func (t *Tenant) updateSLOMetrics(st *slo.Status) {
 	reg := t.srv.reg
 	for _, o := range st.Objectives {

@@ -161,7 +161,7 @@ func (c *Collector) SetRequestTag(tag string) { c.requestTag = tag }
 // ReasonForced).
 func (c *Collector) Collect(reason Reason) Collection {
 	start := time.Now()
-	col := Collection{Seq: c.gcCount, Reason: reason, Request: c.requestTag}
+	col := Collection{Seq: c.gcCount, Reason: reason, Start: start, Request: c.requestTag}
 	if c.ExplainTrigger != nil {
 		col.Trigger = c.ExplainTrigger(reason)
 	}

@@ -68,6 +68,8 @@ type Collection struct {
 	// Reason records why the collection ran (ReasonAllocFailure,
 	// ReasonForced, ...).
 	Reason Reason
+	// Start is when the pause began; the pause is [Start, Start+TotalTime].
+	Start time.Time
 	// OwnershipTime is the time spent in the assertion engine's ownership
 	// pre-phase (zero in Base mode or with no ownership assertions).
 	OwnershipTime time.Duration

@@ -147,7 +147,6 @@ type Recorder struct {
 
 	// Per-cycle accumulation; touched only inside stop-the-world collections
 	// on the runtime's goroutine.
-	gcStart      time.Time
 	phases       []PhaseSpan
 	engineBefore core.Stats
 	prevTypes    map[string]prevCensus
@@ -220,7 +219,6 @@ func (r *Recorder) SetDumpSink(fn func() (io.WriteCloser, error)) { r.dumpFn = f
 
 // GCBegin implements collector.Observer.
 func (r *Recorder) GCBegin(seq uint64, reason collector.Reason) {
-	r.gcStart = time.Now()
 	r.phases = make([]PhaseSpan, 0, 3)
 	if r.statsFn != nil {
 		r.engineBefore = r.statsFn()
@@ -242,7 +240,7 @@ func (r *Recorder) GCEnd(col *collector.Collection) {
 	cy := Cycle{
 		GC:            col.Seq,
 		Reason:        string(col.Reason),
-		StartUnixNs:   r.gcStart.UnixNano(),
+		StartUnixNs:   col.Start.UnixNano(),
 		TotalNs:       int64(col.TotalTime),
 		Phases:        r.phases,
 		RootsScanned:  col.RootsScanned,

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"testing"
+	"time"
 
 	"gcassert/internal/core"
 	"gcassert/internal/heap"
@@ -99,6 +100,36 @@ func TestFrameResize(t *testing.T) {
 	grown := fr.Resize(100)
 	if fr.Len() != 100 || grown[0] != kept || grown[99] != heap.Nil {
 		t.Errorf("after growing: len %d, slot 0 %v (want %v), slot 99 %v", fr.Len(), grown[0], kept, grown[99])
+	}
+}
+
+// TestTelemetryEventWindowIsThePause: a GC event's [StartUnixNs,
+// StartUnixNs+TotalNs] is the collection's own pause window, which lies
+// between clock reads taken around Collect. The trigger explainer runs
+// before any observer callback, so a window stamped from the observer's own
+// clock would start late and end after the pause did.
+func TestTelemetryEventWindowIsThePause(t *testing.T) {
+	r := newRT(t, Config{Infrastructure: true, Telemetry: true, CostAttribution: true})
+	node := r.Define("Node", heap.Field{Name: "next", Ref: true})
+	th := r.NewThread("main")
+	for round := 0; round < 5; round++ {
+		for i := 0; i < 1000; i++ {
+			th.New(node)
+		}
+		before := time.Now().UnixNano()
+		col := r.Collect()
+		after := time.Now().UnixNano()
+		evs := r.Telemetry().Events()
+		ev := evs[len(evs)-1]
+		start, end := ev.StartUnixNs, ev.StartUnixNs+ev.TotalNs
+		if start != col.Start.UnixNano() || ev.TotalNs != int64(col.TotalTime) {
+			t.Fatalf("round %d: event window [%d, +%d] is not the collection's [%d, +%d]",
+				round, start, ev.TotalNs, col.Start.UnixNano(), int64(col.TotalTime))
+		}
+		if start < before || end > after {
+			t.Fatalf("round %d: event window [%d, %d] outside the clock reads around Collect [%d, %d]",
+				round, start, end, before, after)
+		}
 	}
 }
 

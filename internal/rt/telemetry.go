@@ -27,7 +27,6 @@ type telemetrySink struct {
 	engineBefore core.Stats
 	heapLast     heap.Stats
 
-	gcStart    time.Time
 	phaseStart time.Time
 	phases     []telemetry.PhaseSpan
 }
@@ -39,7 +38,6 @@ func newTelemetrySink(r *Runtime, t *telemetry.Tracer) *telemetrySink {
 }
 
 func (s *telemetrySink) GCBegin(seq uint64, reason collector.Reason) {
-	s.gcStart = time.Now()
 	s.phases = make([]telemetry.PhaseSpan, 0, 3)
 	s.t.RecordTrigger(string(reason))
 	if s.r.engine != nil {
@@ -57,11 +55,14 @@ func (s *telemetrySink) PhaseEnd(p collector.Phase, d time.Duration) {
 	})
 }
 
+// GCEnd stamps the event with the collector's own pause window. A clock read
+// in GCBegin would be late (the trigger explainer runs first), and the event
+// window [start, start+TotalNs] would end after the real pause did.
 func (s *telemetrySink) GCEnd(col *collector.Collection) {
 	ev := &telemetry.Event{
 		Reason:        string(col.Reason),
 		Request:       col.Request,
-		StartUnixNs:   s.gcStart.UnixNano(),
+		StartUnixNs:   col.Start.UnixNano(),
 		TotalNs:       int64(col.TotalTime),
 		Phases:        s.phases,
 		RootsScanned:  col.RootsScanned,

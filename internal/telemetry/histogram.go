@@ -90,11 +90,14 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	} else if q > 1 {
 		q = 1
 	}
-	counts := make([]uint64, len(h.counts))
+	return h.quantile(h.snapshot(), q)
+}
+
+// quantile is Quantile over one snapshot of the bucket counts.
+func (h *Histogram) quantile(counts []uint64, q float64) time.Duration {
 	var total uint64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
+	for _, c := range counts {
+		total += c
 	}
 	if total == 0 {
 		return 0
@@ -132,8 +135,10 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 // Summary returns the p50/p95/p99 quantile estimates, the operator's
 // at-a-glance pause profile. The /metrics render emits it as a comment line
 // next to the raw buckets, and cmd/gctrace prints it after the event log.
+// All three read one snapshot of the buckets.
 func (h *Histogram) Summary() (p50, p95, p99 time.Duration) {
-	return h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
+	counts := h.snapshot()
+	return h.quantile(counts, 0.50), h.quantile(counts, 0.95), h.quantile(counts, 0.99)
 }
 
 // SetExemplar attaches a trace exemplar to the bucket the value falls in,
@@ -167,7 +172,7 @@ func (h *Histogram) exemplars() map[int]Exemplar {
 	return out
 }
 
-// snapshot returns the per-bucket counts (for Prometheus rendering).
+// snapshot returns the per-bucket counts.
 func (h *Histogram) snapshot() []uint64 {
 	out := make([]uint64, len(h.counts))
 	for i := range h.counts {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"sort"
@@ -67,9 +68,12 @@ func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()
 // Label is one metric label pair.
 type Label struct{ Name, Value string }
 
-// series is one labeled time series within a family.
+// series is one labeled time series within a family. It holds exactly one
+// metric, of its family's kind, set when the series is created.
 type series struct {
-	labels   string // rendered {k="v",...} suffix, "" when unlabeled
+	pairs    []Label // sorted by name; equal names keep their registration order
+	labels   string  // rendered {k="v",...} suffix, "" when unlabeled
+	next     *series // next series of the family with the same label hash
 	counter  *Counter
 	fcounter *FloatCounter
 	gauge    *Gauge
@@ -77,16 +81,22 @@ type series struct {
 	hist     *Histogram
 }
 
-// family groups the series sharing one metric name.
+// family groups the series sharing one metric name. A family holds integer
+// or float series, not both.
 type family struct {
 	name, help, typ string
+	float           bool
 	series          []*series
+	byHash          map[uint64]*series // labelHash → series, collisions chained by next
 }
 
 // Registry holds named metrics and renders them in the Prometheus text
 // exposition format. Registration is idempotent: asking for an existing
-// name+labels pair returns the same metric, so hot paths may look metrics
-// up lazily.
+// name+labels pair, labels in any order, returns the same metric, so hot
+// paths may look metrics up lazily. Such a hit takes the lock once,
+// allocates nothing and costs the same however many series the family
+// holds; only the first registration of a series allocates and renders its
+// label set.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -95,52 +105,104 @@ type Registry struct {
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry { return &Registry{families: make(map[string]*family)} }
 
-func renderLabels(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
+var (
+	labelSeed    = maphash.MakeSeed()
+	labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+)
+
+// labelHash hashes a label set independently of the order of its pairs.
+func labelHash(labels []Label) uint64 {
+	var h uint64
+	for _, l := range labels {
+		h += maphash.String(labelSeed, l.Name)*31 ^ maphash.String(labelSeed, l.Value)
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Name < ls[j].Name })
+	return h
+}
+
+// rank is the index of labels[i] once labels are stably sorted by name.
+func rank(labels []Label, i int) int {
+	k := 0
+	for j, l := range labels {
+		if l.Name < labels[i].Name || l.Name == labels[i].Name && j < i {
+			k++
+		}
+	}
+	return k
+}
+
+// matches reports whether labels, in any order, are the series' pairs.
+func (s *series) matches(labels []Label) bool {
+	if len(labels) != len(s.pairs) {
+		return false
+	}
+	for i, l := range labels {
+		if s.pairs[rank(labels, i)] != l {
+			return false
+		}
+	}
+	return true
+}
+
+func newSeries(labels []Label) *series {
+	if len(labels) == 0 {
+		return &series{}
+	}
+	s := &series{pairs: make([]Label, len(labels))}
+	for i, l := range labels {
+		s.pairs[rank(labels, i)] = l
+	}
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, l := range ls {
+	for i, l := range s.pairs {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		v := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`).Replace(l.Value)
-		fmt.Fprintf(&b, `%s="%s"`, l.Name, v)
+		b.WriteString(l.Name)
+		b.WriteString(`="`)
+		b.WriteString(labelEscaper.Replace(l.Value))
+		b.WriteByte('"')
 	}
 	b.WriteByte('}')
-	return b.String()
+	s.labels = b.String()
+	return s
 }
 
-// lookup finds or creates the series for name+labels, verifying the type.
-func (r *Registry) lookup(name, help, typ string, labels []Label) *series {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// lookup finds or creates the series for name+labels, verifying the kind;
+// the caller holds r.mu. A created series has no metric yet.
+func (r *Registry) lookup(name, help, typ string, float bool, labels []Label) *series {
 	f := r.families[name]
 	if f == nil {
-		f = &family{name: name, help: help, typ: typ}
+		f = &family{name: name, help: help, typ: typ, float: float, byHash: make(map[uint64]*series)}
 		r.families[name] = f
-	} else if f.typ != typ {
-		panic(fmt.Sprintf("telemetry: metric %q re-registered as %s (was %s)", name, typ, f.typ))
+	} else if f.typ != typ || f.float != float {
+		panic(fmt.Sprintf("telemetry: metric %q re-registered as %s (was %s)",
+			name, kindName(typ, float), kindName(f.typ, f.float)))
 	}
-	ls := renderLabels(labels)
-	for _, s := range f.series {
-		if s.labels == ls {
+	h := labelHash(labels)
+	for s := f.byHash[h]; s != nil; s = s.next {
+		if s.matches(labels) {
 			return s
 		}
 	}
-	s := &series{labels: ls}
+	s := newSeries(labels)
+	s.next = f.byHash[h]
+	f.byHash[h] = s
 	f.series = append(f.series, s)
 	return s
 }
 
+func kindName(typ string, float bool) string {
+	if float {
+		return "float " + typ
+	}
+	return typ
+}
+
 // Counter finds or creates a counter.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.lookup(name, help, "counter", labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := r.lookup(name, help, "counter", false, labels)
 	if s.counter == nil {
 		s.counter = &Counter{}
 	}
@@ -150,12 +212,9 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 // FloatCounter finds or creates a float-valued counter. It renders as a
 // Prometheus counter; a name may hold integer or float series, not both.
 func (r *Registry) FloatCounter(name, help string, labels ...Label) *FloatCounter {
-	s := r.lookup(name, help, "counter", labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if s.counter != nil {
-		panic(fmt.Sprintf("telemetry: metric %q re-registered as float counter (was integer)", name))
-	}
+	s := r.lookup(name, help, "counter", true, labels)
 	if s.fcounter == nil {
 		s.fcounter = &FloatCounter{}
 	}
@@ -164,9 +223,9 @@ func (r *Registry) FloatCounter(name, help string, labels ...Label) *FloatCounte
 
 // Gauge finds or creates a gauge.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.lookup(name, help, "gauge", labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := r.lookup(name, help, "gauge", false, labels)
 	if s.gauge == nil {
 		s.gauge = &Gauge{}
 	}
@@ -176,12 +235,9 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // FloatGauge finds or creates a float-valued gauge. It renders as a
 // Prometheus gauge; a name may hold integer or float series, not both.
 func (r *Registry) FloatGauge(name, help string, labels ...Label) *FloatGauge {
-	s := r.lookup(name, help, "gauge", labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if s.gauge != nil {
-		panic(fmt.Sprintf("telemetry: metric %q re-registered as float gauge (was integer)", name))
-	}
+	s := r.lookup(name, help, "gauge", true, labels)
 	if s.fgauge == nil {
 		s.fgauge = &FloatGauge{}
 	}
@@ -190,9 +246,9 @@ func (r *Registry) FloatGauge(name, help string, labels ...Label) *FloatGauge {
 
 // Histogram finds or creates a histogram over bounds (seconds, ascending).
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	s := r.lookup(name, help, "histogram", labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := r.lookup(name, help, "histogram", false, labels)
 	if s.hist == nil {
 		s.hist = NewHistogram(bounds)
 	}

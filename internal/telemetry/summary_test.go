@@ -83,15 +83,54 @@ func TestFloatCounter(t *testing.T) {
 	}
 }
 
+// TestFloatCounterIntMixPanics: a name holds integer or float series, not
+// both, whichever kind registers first, and a refused registration leaves
+// the exposition as it was.
 func TestFloatCounterIntMixPanics(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("mixed_total", "int first")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on float re-registration of an integer counter")
-		}
-	}()
-	reg.FloatCounter("mixed_total", "float second")
+	l := Label{"kind", "dead"}
+	cases := []struct {
+		name          string
+		first, second func(*Registry)
+	}{
+		{"counter-then-float",
+			func(r *Registry) { r.Counter("mixed_total", "int", l).Add(2) },
+			func(r *Registry) { r.FloatCounter("mixed_total", "float", l) }},
+		{"float-then-counter",
+			func(r *Registry) { r.FloatCounter("mixed_total", "float", l).Add(1.5) },
+			func(r *Registry) { r.Counter("mixed_total", "int", l) }},
+		{"gauge-then-float",
+			func(r *Registry) { r.Gauge("mixed", "int", l).Set(2) },
+			func(r *Registry) { r.FloatGauge("mixed", "float", l) }},
+		{"float-then-gauge",
+			func(r *Registry) { r.FloatGauge("mixed", "float", l).Set(1.5) },
+			func(r *Registry) { r.Gauge("mixed", "int", l) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry()
+			tc.first(reg)
+			var before strings.Builder
+			if err := reg.WritePrometheus(&before); err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("no panic on re-registration under the other value kind")
+					}
+				}()
+				tc.second(reg)
+			}()
+			var after strings.Builder
+			if err := reg.WritePrometheus(&after); err != nil {
+				t.Fatal(err)
+			}
+			if after.String() != before.String() {
+				t.Errorf("exposition changed by the refused registration:\n--- before ---\n%s--- after ---\n%s",
+					before.String(), after.String())
+			}
+		})
+	}
 }
 
 // TestGoTracePauseSummary pins the percentile footer of the gctrace export.
