@@ -18,7 +18,7 @@ import (
 // serverRun is the -server client mode: slam a remote gcassertd with many
 // concurrent tenant sessions. Each tenant is its own open-loop session at
 // the target per-tenant rate (aggregate arrival rate = tenants × rps), so a
-// tenant stalled behind its service loop accumulates queue delay exactly as
+// tenant stalled behind its running drive accumulates queue delay exactly as
 // the in-process lab does — but over HTTP, against a real multi-tenant
 // server.
 type serverRun struct {

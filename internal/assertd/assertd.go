@@ -6,13 +6,15 @@
 // Prometheus metrics.
 //
 // The isolation model is the runtime's own single-goroutine discipline
-// made structural: every tenant has a service-loop goroutine that is the
-// only code ever touching its runtime, and handlers reach it through a
-// command channel. Tenants share nothing — no heap, no collector state, no
-// tracer (the telemetry layer is fully instance-scoped) — so a tenant that
-// exhausts its heap, halts on a violation, or burns its step budget fails
-// its own request and nothing else. The only shared object is the server's
-// metrics registry, where every series carries a tenant label.
+// made structural: a tenant's runtime is reachable only through its guest,
+// a token parked in a one-slot channel. A handler takes the guest, runs its
+// command on its own goroutine and puts the guest back, so one goroutine at
+// a time touches the runtime and no goroutine exists per tenant. Tenants
+// share nothing — no heap, no collector state, no tracer (the telemetry
+// layer is fully instance-scoped) — so a tenant that exhausts its heap,
+// halts on a violation, or burns its step budget fails its own request and
+// nothing else. The only shared object is the server's metrics registry,
+// where every series carries a tenant label.
 package assertd
 
 import (
@@ -142,7 +144,7 @@ func validTenantID(id string) bool {
 	return true
 }
 
-// CreateTenant provisions a tenant: a fresh runtime plus its service loop.
+// CreateTenant provisions a tenant: a fresh runtime behind its guest token.
 // The lock is held across construction so a duplicate create can never
 // race two runtimes onto one ID.
 func (s *Server) CreateTenant(id string, opts TenantOptions) (*Tenant, error) {
@@ -170,9 +172,10 @@ func (s *Server) CreateTenant(id string, opts TenantOptions) (*Tenant, error) {
 	return t, nil
 }
 
-// DeleteTenant stops a tenant's service loop and removes it. The call
-// returns after the loop has fully exited (fleet exporter closed, SSE
-// subscribers released), so a delete-then-recreate of the same ID is safe.
+// DeleteTenant removes a tenant and shuts it down. The call returns once
+// the tenant's running command has finished and its fleet exporter and SSE
+// subscribers are released, so a delete-then-recreate of the same ID is
+// safe.
 func (s *Server) DeleteTenant(id string) error {
 	s.mu.Lock()
 	t, ok := s.tenants[id]

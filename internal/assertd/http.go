@@ -1,12 +1,14 @@
 package assertd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 
 	"gcassert/internal/slo"
 	"gcassert/internal/trace"
@@ -15,9 +17,12 @@ import (
 // maxProgramBytes bounds a submitted MJ source body.
 const maxProgramBytes = 1 << 20
 
-// maxDriveBatch bounds one drive batch: the service loop runs the batch to
-// completion, so an unbounded batch would let one client monopolize its
-// tenant far past any request timeout.
+// maxJSONBody bounds a JSON request body (create, drive, SLO).
+const maxJSONBody = 1 << 16
+
+// maxDriveBatch bounds one drive batch: a drive holds its tenant's guest
+// until the batch completes, so an unbounded batch would let one client
+// monopolize its tenant far past any request timeout.
 const maxDriveBatch = 100_000
 
 // Handler returns the service's HTTP surface:
@@ -146,8 +151,7 @@ func spanContext(r *http.Request) trace.SpanContext {
 // under the new contract, it does not re-interpret old history.
 func (s *Server) handleSetSLO(t *Tenant, w http.ResponseWriter, r *http.Request) {
 	var spec slo.Spec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&spec); err != nil {
-		http.Error(w, "bad slo body: "+err.Error(), http.StatusBadRequest)
+	if !readJSON(w, r, "slo", &spec) {
 		return
 	}
 	st, err := t.SetSLO(&spec)
@@ -219,8 +223,7 @@ type CreateRequest struct {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		http.Error(w, "bad create body: "+err.Error(), http.StatusBadRequest)
+	if !readJSON(w, r, "create", &req) {
 		return
 	}
 	t, err := s.CreateTenant(req.ID, req.Options)
@@ -259,8 +262,7 @@ type DriveRequest struct {
 
 func (s *Server) handleDrive(t *Tenant, w http.ResponseWriter, r *http.Request) {
 	var req DriveRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		http.Error(w, "bad drive body: "+err.Error(), http.StatusBadRequest)
+	if !readJSON(w, r, "drive", &req) {
 		return
 	}
 	if req.Requests <= 0 {
@@ -279,7 +281,7 @@ func (s *Server) handleDrive(t *Tenant, w http.ResponseWriter, r *http.Request) 
 		// Override the middleware's echo with the trace this drive created.
 		w.Header().Set(trace.Header, res.Traceparent)
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeJSON(w, http.StatusOK, &res)
 }
 
 // handleViolations streams the tenant's violation frames as SSE. The
@@ -381,12 +383,76 @@ func sseHeaders(w http.ResponseWriter) {
 	w.WriteHeader(http.StatusOK)
 }
 
+// codec is a reusable buffer with the indenting encoder that writes into
+// it, and the limiting reader that fills it from a request body. Handlers
+// take one from codecs for a body or a reply and put it back when done.
+type codec struct {
+	buf  bytes.Buffer
+	enc  *json.Encoder
+	body io.LimitedReader
+}
+
+// maxPooledCodec is the largest buffer put back into codecs: one large
+// document must not pin its memory for the life of the process.
+const maxPooledCodec = 1 << 16
+
+var codecs = sync.Pool{New: func() any {
+	c := new(codec)
+	c.enc = json.NewEncoder(&c.buf)
+	c.enc.SetIndent("", "  ")
+	return c
+}}
+
+func getCodec() *codec {
+	c := codecs.Get().(*codec)
+	c.buf.Reset()
+	return c
+}
+
+func putCodec(c *codec) {
+	if c.buf.Cap() <= maxPooledCodec {
+		codecs.Put(c)
+	}
+}
+
+// writeJSON answers code with v as indented JSON. v is encoded before the
+// status is written, so a value that fails to encode answers 500 instead of
+// an empty success.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	c := getCodec()
+	defer putCodec(c)
+	if err := c.enc.Encode(v); err != nil {
+		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(c.buf.Bytes())
+}
+
+// readJSON decodes r's body, at most maxJSONBody bytes, into v. A longer
+// body answers 413 and one that does not decode 400, each naming what the
+// body was for; readJSON reports whether v was filled.
+func readJSON(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	c := getCodec()
+	defer putCodec(c)
+	// One byte past the limit tells a body over it from one at it.
+	c.body = io.LimitedReader{R: r.Body, N: maxJSONBody + 1}
+	_, err := c.buf.ReadFrom(&c.body)
+	c.body.R = nil
+	if err != nil {
+		http.Error(w, "bad "+what+" body: "+err.Error(), http.StatusBadRequest)
+		return false
+	}
+	if c.buf.Len() > maxJSONBody {
+		http.Error(w, fmt.Sprintf("%s body too large (max %d bytes)", what, maxJSONBody), http.StatusRequestEntityTooLarge)
+		return false
+	}
+	if err := json.Unmarshal(c.buf.Bytes(), v); err != nil {
+		http.Error(w, "bad "+what+" body: "+err.Error(), http.StatusBadRequest)
+		return false
+	}
+	return true
 }
 
 // writeError maps service errors onto HTTP status codes.

@@ -61,11 +61,11 @@ func (t *Tenant) SLOStatus() (*slo.Status, error) {
 	return &st, nil
 }
 
-// pokeSnapshot runs a no-op command through the service loop so the cached
-// stats snapshot (and the SLO metric gauges) reflect an out-of-band SLO
-// change. Best-effort: a deleted tenant just skips it.
+// pokeSnapshot takes and releases the guest so the cached stats snapshot
+// (and the SLO metric gauges) reflect an out-of-band SLO change.
+// Best-effort: a deleted tenant just skips it.
 func (t *Tenant) pokeSnapshot() {
-	_, _ = t.do(func(*guest) (any, error) { return nil, nil })
+	_ = t.do(func(*guest) error { return nil })
 }
 
 // sloRecordRequests is the request-path seam: one atomic load and a nil
@@ -181,9 +181,10 @@ func (t *Tenant) updateSLOMetrics(st *slo.Status) {
 
 // sloShipper ships sealed envelopes (SLO reports, kept traces) to a gcfleet
 // collector. Same discipline as the fleet census exporter: enqueue never
-// blocks (alert transitions happen on tenant service loops, sometimes
-// inside stop-the-world pauses), a dedicated sender goroutine owns all
-// network I/O, and the bounded queue drops the oldest envelope on overflow.
+// blocks (alert transitions happen while a handler holds a tenant's guest,
+// sometimes inside stop-the-world pauses), a dedicated sender goroutine
+// owns all network I/O, and the bounded queue drops the oldest envelope on
+// overflow.
 type sloShipper struct {
 	url    string
 	ident  version.Identity

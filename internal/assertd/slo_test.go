@@ -18,7 +18,7 @@ import (
 )
 
 // serverClock is a goroutine-safe fake clock for assertd.Config.Clock:
-// tenant service loops, HTTP handlers and the test all read it
+// drives, other HTTP handlers and the test all read it
 // concurrently, and only the test advances it.
 type serverClock struct{ ns atomic.Int64 }
 

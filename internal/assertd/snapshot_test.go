@@ -7,15 +7,16 @@ import (
 )
 
 // refreshSnapshotAllocs is what one stats-snapshot refresh allocates on the
-// host for a tenant with SLO, tracing and introspection on: the cached
-// document, its maps and slices, and the SLO status evaluation. The fifteen
-// gcassertd_slo_* series it re-registers are registry hits and must
-// allocate nothing.
-const refreshSnapshotAllocs = 13
+// host for a tenant with SLO, tracing and introspection on: the pause
+// histogram's snapshot, the assertion cost slice, and the SLO status
+// document with its objective and alert slices, each slice made once at its
+// final size. The fifteen gcassertd_slo_* series it re-registers are
+// registry hits and must allocate nothing.
+const refreshSnapshotAllocs = 5
 
 // TestRefreshSnapshotAllocations pins the per-command cost of the cached
-// stats refresh, which runs on the service loop after every command and
-// before its reply.
+// stats refresh, which runs after every command, before the guest is put
+// back and the reply written.
 func TestRefreshSnapshotAllocations(t *testing.T) {
 	s := NewServer(Config{})
 	defer s.Close()
@@ -39,9 +40,9 @@ func TestRefreshSnapshotAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	var allocs float64
-	if _, err := tn.do(func(g *guest) (any, error) {
+	if err := tn.do(func(g *guest) error {
 		allocs = testing.AllocsPerRun(200, func() { tn.refreshSnapshot(g) })
-		return nil, nil
+		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}

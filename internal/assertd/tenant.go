@@ -1,6 +1,7 @@
 package assertd
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,7 +33,7 @@ type TenantOptions struct {
 	Provenance string `json:"provenance,omitempty"`
 	// MaxSteps bounds each guest request's executed instructions. 0 applies
 	// the server default (defaultMaxSteps); there is no unlimited setting —
-	// a tenant must not be able to pin its service loop forever.
+	// a tenant must not be able to hold its guest forever.
 	MaxSteps uint64 `json:"max_steps,omitempty"`
 	// React maps assertion kinds ("assert-dead", "dead", ...) to reactions
 	// ("log", "halt", "force"). Unlisted kinds log.
@@ -53,9 +54,9 @@ type TenantOptions struct {
 }
 
 // defaultMaxSteps bounds a guest request when the tenant does not choose a
-// bound. Isolation requires some bound: the service loop is the tenant's
-// only execution resource, and an infinite guest loop would otherwise hold
-// it forever.
+// bound. Isolation requires some bound: the guest is the tenant's only
+// execution resource, and an infinite guest loop would otherwise hold it
+// forever.
 const defaultMaxSteps = 50_000_000
 
 // parseReaction maps the wire spelling of a reaction.
@@ -110,13 +111,13 @@ var (
 	errTenantGone = errors.New("tenant deleted")
 )
 
-// Tenant is one isolated guest runtime hosted by a Server. All use of the
-// underlying gcassert.Runtime happens on the tenant's own service-loop
-// goroutine — the runtime's single-goroutine discipline is the isolation
-// boundary — and HTTP handlers talk to it by sending commands over a
-// channel. Concurrent requests against one tenant therefore serialize, and
-// the queueing they experience is exactly the per-tenant service latency
-// the load driver measures.
+// Tenant is one isolated guest runtime hosted by a Server. The runtime is
+// reachable only through the tenant's guest, a token that one goroutine at
+// a time holds: a handler takes it, runs its command on its own goroutine,
+// and puts it back. The runtime's single-goroutine discipline is thus the
+// isolation boundary, enforced by the type. Concurrent requests against one
+// tenant serialize in arrival order, and the queueing they experience is
+// exactly the per-tenant service latency the load driver measures.
 type Tenant struct {
 	id      string
 	opts    TenantOptions
@@ -134,34 +135,36 @@ type Tenant struct {
 	// one atomic load. Set once at creation, never swapped.
 	trc atomic.Pointer[tenantTracer]
 	// activeTrace is the span builder for the traced drive batch currently
-	// executing on the service loop, nil between batches. Loop-goroutine
-	// only — the GC event and violation taps read it inside the
-	// stop-the-world window, which runs on that same goroutine.
+	// executing, nil between batches. Guest holder only — the GC event and
+	// violation taps read it inside the stop-the-world window, which runs on
+	// the holder's goroutine.
 	activeTrace *trace.Builder
 
-	cmds chan tenantCmd
-	stop chan struct{} // closed by Server.DeleteTenant
-	done chan struct{} // closed when the service loop has fully exited
+	// idle holds the tenant's guest while no goroutine runs it (capacity 1).
+	// acquire takes it, release puts it back, shutdown takes it for good.
+	idle chan *guest
+	done chan struct{} // closed once shutdown has taken the guest
 
-	stopOnce sync.Once
+	shutdownOnce sync.Once
 
 	tel *telemetry.Tracer // concurrency-safe views (pause histogram, SSE)
 	hub sse.Hub           // violation SSE stream
 
-	// Cross-goroutine counters (written on the loop, read anywhere).
+	// Cross-goroutine counters (written by the guest holder, read anywhere).
 	requests   atomic.Uint64
 	failures   atomic.Uint64
 	violations atomic.Uint64
 	violSeq    atomic.Uint64
 
-	// Loop-goroutine-only state (no locking: single writer, snapshotted).
+	// Guest-holder-only state (no locking: one holder at a time, and the
+	// guest channel orders one holder's writes before the next's reads).
 	latency    stats.LogHist
 	violByKind [core.NumKinds]uint64
 	costNs     [core.NumKinds]int64
 	costChecks [core.NumKinds]uint64
 
 	mu   sync.Mutex
-	snap TenantStats // cached; refreshed on the loop after every command
+	snap TenantStats // cached; refreshed by release after every command
 
 	metrics tenantMetrics
 }
@@ -179,27 +182,16 @@ type tenantMetrics struct {
 	alertTransitions *telemetry.Counter
 }
 
-type cmdResult struct {
-	v   any
-	err error
-}
-
-type tenantCmd struct {
-	fn    func(*guest) (any, error)
-	reply chan cmdResult
-}
-
-// guest is the loop-private execution state: the runtime plus the currently
-// loaded program image. It exists only on the service-loop goroutine.
+// guest is the tenant's execution state: the runtime plus the currently
+// loaded program image. Only the goroutine that holds it (acquire, release)
+// may use it.
 type guest struct {
-	t  *Tenant
 	vm *gcassert.Runtime
 	im *minivm.Image
 }
 
-// newTenant builds the runtime and starts the service loop. The runtime is
-// constructed here and handed to the loop goroutine; the goroutine start
-// is the happens-before edge, and nothing on this side touches it again.
+// newTenant builds the runtime and parks its guest, ready for the first
+// acquire.
 func newTenant(s *Server, id string, topts TenantOptions) (*Tenant, error) {
 	pol, err := topts.policy()
 	if err != nil {
@@ -243,8 +235,7 @@ func newTenant(s *Server, id string, topts TenantOptions) (*Tenant, error) {
 		created: s.cfg.Clock(),
 		srv:     s,
 		clock:   s.cfg.Clock,
-		cmds:    make(chan tenantCmd),
-		stop:    make(chan struct{}),
+		idle:    make(chan *guest, 1),
 		done:    make(chan struct{}),
 	}
 	if topts.SLO != nil {
@@ -255,7 +246,7 @@ func newTenant(s *Server, id string, topts TenantOptions) (*Tenant, error) {
 		t.sloT.Store(tr)
 	}
 	if topts.Trace != nil {
-		t.trc.Store(newTenantTracer(topts.Trace))
+		t.trc.Store(newTenantTracer(topts.Trace, id, s.cfg.InstanceID))
 	}
 	lbl := telemetry.Label{Name: "tenant", Value: id}
 	t.metrics = tenantMetrics{
@@ -288,45 +279,51 @@ func newTenant(s *Server, id string, topts TenantOptions) (*Tenant, error) {
 	t.tel = vm.Telemetry()
 	t.tel.OnRecord(t.onGCEvent)
 
-	// Snapshot once before the handoff, so the create response already
-	// carries a populated stats document; from here on only the loop
-	// goroutine touches the runtime.
-	g := &guest{t: t, vm: vm}
-	t.refreshSnapshot(g)
-	go t.loop(g)
+	// release snapshots before parking the guest, so the create response
+	// already carries a populated stats document.
+	t.release(&guest{vm: vm})
 	return t, nil
 }
 
-// loop is the tenant's service loop: the one goroutine that may touch the
-// runtime. It executes commands in arrival order, refreshes the cached
-// stats snapshot after each, and on shutdown closes the violation hub (so
-// SSE handlers return) and the fleet exporter before signalling done.
-func (t *Tenant) loop(g *guest) {
-	defer close(t.done)
-	defer g.vm.CloseFleet()
-	defer t.hub.Close()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case c := <-t.cmds:
-			v, err := runCmd(g, c.fn)
-			t.refreshSnapshot(g)
-			c.reply <- cmdResult{v, err}
-		}
+// acquire takes the tenant's guest, waiting while another goroutine holds
+// it. Waiters are served in arrival order (a channel's receivers queue
+// FIFO). A tenant being deleted answers errTenantGone instead, so a
+// handler racing a DELETE never hangs.
+func (t *Tenant) acquire() (*guest, error) {
+	select {
+	case g := <-t.idle:
+		return g, nil
+	case <-t.done:
+		return nil, errTenantGone
 	}
 }
 
-// runCmd executes one command with panic isolation: a guest that OOMs its
-// heap or halts on a violation (ReactHalt) unwinds to here, is converted to
-// an error, and the tenant — and every other tenant — keeps serving.
-func runCmd(g *guest, fn func(*guest) (any, error)) (v any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = guestError(r)
-		}
-	}()
+// release refreshes the cached stats snapshot and puts the guest back.
+// Only the holder sends, into a channel of capacity one, so it never
+// blocks.
+func (t *Tenant) release(g *guest) {
+	t.refreshSnapshot(g)
+	t.idle <- g
+}
+
+// do runs fn holding the guest. A guest that OOMs its heap or halts on a
+// violation (ReactHalt) inside fn unwinds to here and becomes fn's error;
+// the tenant — and every other tenant — keeps serving.
+func (t *Tenant) do(fn func(*guest) error) (err error) {
+	g, err := t.acquire()
+	if err != nil {
+		return err
+	}
+	defer t.release(g)
+	defer recoverGuest(&err)
 	return fn(g)
+}
+
+// recoverGuest, deferred, turns a recovered guest panic into *err.
+func recoverGuest(err *error) {
+	if r := recover(); r != nil {
+		*err = guestError(r)
+	}
 }
 
 // guestError converts a recovered guest panic into an error.
@@ -341,34 +338,22 @@ func guestError(r any) error {
 	}
 }
 
-// do sends a command to the service loop and waits for its result. It never
-// blocks past tenant deletion: both the send and the receive also select on
-// done, so handlers racing a DELETE get errTenantGone instead of hanging.
-func (t *Tenant) do(fn func(*guest) (any, error)) (any, error) {
-	c := tenantCmd{fn: fn, reply: make(chan cmdResult, 1)}
-	select {
-	case t.cmds <- c:
-	case <-t.done:
-		return nil, errTenantGone
-	}
-	select {
-	case r := <-c.reply:
-		return r.v, r.err
-	case <-t.done:
-		return nil, errTenantGone
-	}
-}
-
-// shutdown asks the loop to exit and waits until it has.
+// shutdown takes the guest for good — waiting out a running command — and
+// closes the violation hub (so SSE handlers return) and the fleet exporter
+// before signalling done, which turns away every acquire still waiting.
 func (t *Tenant) shutdown() {
-	t.stopOnce.Do(func() { close(t.stop) })
-	<-t.done
+	t.shutdownOnce.Do(func() {
+		g := <-t.idle
+		t.hub.Close()
+		g.vm.CloseFleet()
+		close(t.done)
+	})
 }
 
 // ID returns the tenant's name.
 func (t *Tenant) ID() string { return t.id }
 
-// onViolation is the tenant's reporter. It runs on the service-loop
+// onViolation is the tenant's reporter. It runs on the guest holder's
 // goroutine inside the stop-the-world collection, so it must stay brief and
 // must never block: count, marshal once, publish non-blocking.
 func (t *Tenant) onViolation(v *gcassert.Violation) {
@@ -417,8 +402,8 @@ type ViolationFrame struct {
 }
 
 // onGCEvent accumulates per-kind assertion cost from each collection's
-// event and feeds the SLO pause/cost objectives. Runs on the service loop
-// during the stop-the-world window.
+// event and feeds the SLO pause/cost objectives. Runs on the guest holder's
+// goroutine during the stop-the-world window.
 func (t *Tenant) onGCEvent(ev *telemetry.Event) {
 	var assertNs int64
 	for _, c := range ev.Costs {
@@ -452,9 +437,9 @@ type LatencyNs struct {
 }
 
 // TenantStats is the per-tenant stats document served on /tenants/{id} and
-// folded into /tenants. It is a cached snapshot refreshed by the service
-// loop after every command — the collector and heap stats it summarizes are
-// not concurrency-safe, so handlers never read the runtime directly.
+// folded into /tenants. It is a cached snapshot refreshed by the guest
+// holder after every command — the collector and heap stats it summarizes
+// are not concurrency-safe, so handlers never read the runtime directly.
 type TenantStats struct {
 	ID            string        `json:"id"`
 	InstanceID    string        `json:"instance_id"`
@@ -491,7 +476,7 @@ type TenantStats struct {
 	SLO *slo.Status `json:"slo,omitempty"`
 }
 
-// refreshSnapshot rebuilds the cached stats document. Loop goroutine only.
+// refreshSnapshot rebuilds the cached stats document. Guest holder only.
 func (t *Tenant) refreshSnapshot(g *guest) {
 	gc := g.vm.GCStats()
 	hs := g.vm.HeapStats()
@@ -531,6 +516,9 @@ func (t *Tenant) refreshSnapshot(g *guest) {
 			s.ViolationsByKind[k.String()] = n
 		}
 		if t.costChecks[k] > 0 || t.costNs[k] > 0 {
+			if s.AssertCosts == nil {
+				s.AssertCosts = make([]AssertCostStat, 0, core.NumKinds)
+			}
 			s.AssertCosts = append(s.AssertCosts, AssertCostStat{
 				Kind: k.String(), Checks: t.costChecks[k], Ns: t.costNs[k],
 			})
@@ -573,23 +561,22 @@ type ProgramInfo struct {
 // program's classes stay registered as heap types; resubmitting a program
 // whose class shapes conflict with an earlier submission is a load error.
 func (t *Tenant) Submit(src string) (ProgramInfo, error) {
-	v, err := t.do(func(g *guest) (any, error) {
+	var info ProgramInfo
+	err := t.do(func(g *guest) error {
 		unit, err := minivm.Compile(src)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadProgram, err)
+			return fmt.Errorf("%w: %v", ErrBadProgram, err)
 		}
 		im, err := minivm.Load(g.vm, unit, io.Discard)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadProgram, err)
+			return fmt.Errorf("%w: %v", ErrBadProgram, err)
 		}
 		im.MaxSteps = t.opts.MaxSteps
 		g.im = im
-		return ProgramInfo{Classes: len(unit.Classes), Methods: len(unit.Methods)}, nil
+		info = ProgramInfo{Classes: len(unit.Classes), Methods: len(unit.Methods)}
+		return nil
 	})
-	if err != nil {
-		return ProgramInfo{}, err
-	}
-	return v.(ProgramInfo), nil
+	return info, err
 }
 
 // DriveResult reports one drive batch: how many guest requests ran, how
@@ -613,9 +600,10 @@ type DriveResult struct {
 	TraceSampled string `json:"trace_sampled,omitempty"`
 }
 
-// Drive runs n guest requests back to back on the service loop, optionally
-// forcing a collection afterwards (so end-of-request assert-dead style
-// assertions are checked even when the batch didn't fill the heap).
+// Drive runs n guest requests back to back on the calling goroutine once it
+// holds the tenant's guest, optionally forcing a collection afterwards (so
+// end-of-request assert-dead style assertions are checked even when the
+// batch didn't fill the heap).
 func (t *Tenant) Drive(n int, collect bool) (DriveResult, error) {
 	return t.DriveTraced(n, collect, trace.SpanContext{})
 }
@@ -626,116 +614,109 @@ func (t *Tenant) Drive(n int, collect bool) (DriveResult, error) {
 // runtime's request tag is set around its execution so collections are
 // stamped with the request they interrupted, and the finished span tree
 // goes through the tail sampler. With tracing off the parent is ignored.
-func (t *Tenant) DriveTraced(n int, collect bool, parent trace.SpanContext) (DriveResult, error) {
-	v, err := t.do(func(g *guest) (any, error) {
-		if g.im == nil {
-			return nil, ErrNoProgram
-		}
-		res := DriveResult{Requests: n}
-		v0 := t.violations.Load()
-		start := time.Now()
-		tb := t.traceBegin(parent, n, collect)
-		if tb != nil {
-			// A guest panic escaping the batch must not leave a stale
-			// builder installed for the next command's collections.
-			defer func() { t.activeTrace = nil }()
-		}
-		for i := 0; i < n; i++ {
-			// Per-request SLO accounting: only touch the violation counter
-			// when a tracker or tracer is live, so the off path stays one
-			// nil check.
-			sloOn := t.sloT.Load() != nil
-			var pv uint64
-			if sloOn || tb != nil {
-				pv = t.violations.Load()
-			}
-			g.im.ResetSteps() // per-request step budget
-			t0 := time.Now()
-			if tb != nil {
-				span := tb.StartRequest(t0.UnixNano())
-				g.vm.SetRequestTag(span.String())
-			}
-			err := g.runOne()
-			d := time.Since(t0)
-			t.latency.Observe(d)
-			t.metrics.latency.Observe(d)
-			t.requests.Add(1)
-			t.metrics.requests.Inc()
-			var fail uint64
-			if err != nil {
-				t.failures.Add(1)
-				t.metrics.failures.Inc()
-				res.Failures++
-				res.LastError = err.Error()
-				fail = 1
-			}
-			// The SLO fold judges the batch bad at record time; the tail
-			// sampler consumes that verdict per request span.
-			bad := false
-			if sloOn {
-				bad = t.sloRecordRequests(1, fail, t.violations.Load()-pv)
-			}
-			if tb != nil {
-				g.vm.SetRequestTag("")
-				emsg := ""
-				if err != nil {
-					emsg = err.Error()
-				}
-				tb.EndRequest(t0.UnixNano()+d.Nanoseconds(), emsg, bad, int(t.violations.Load()-pv))
-			}
-		}
-		if collect {
-			vc := t.violations.Load()
-			if err := g.collectOne(); err != nil {
-				res.Failures++
-				res.LastError = err.Error()
-			}
-			// Violations from the trailing forced collection still spend
-			// the violation budget, attributed to no particular request.
-			if d := t.violations.Load() - vc; d > 0 {
-				t.sloRecordRequests(0, 0, d)
-			}
-		}
-		res.Violations = t.violations.Load() - v0
-		res.ElapsedNs = time.Since(start).Nanoseconds()
-		if tb != nil {
-			t.traceFinish(tb, &res)
-		}
-		return res, nil
-	})
+func (t *Tenant) DriveTraced(n int, collect bool, parent trace.SpanContext) (res DriveResult, err error) {
+	g, err := t.acquire()
 	if err != nil {
-		return DriveResult{}, err
+		return res, err
 	}
-	return v.(DriveResult), nil
+	defer t.release(g)
+	defer recoverGuest(&err)
+	if g.im == nil {
+		return res, ErrNoProgram
+	}
+	return t.drive(g, n, collect, parent), nil
 }
 
-// Collect forces one collection on the service loop.
+// drive is DriveTraced's batch, run by the guest's holder.
+func (t *Tenant) drive(g *guest, n int, collect bool, parent trace.SpanContext) DriveResult {
+	res := DriveResult{Requests: n}
+	v0 := t.violations.Load()
+	start := time.Now()
+	tb := t.traceBegin(parent, n, collect)
+	if tb != nil {
+		// A guest panic escaping the batch must not leave a stale builder
+		// installed for the next command's collections.
+		defer func() { t.activeTrace = nil }()
+	}
+	for i := 0; i < n; i++ {
+		// Per-request SLO accounting: only touch the violation counter when
+		// a tracker or tracer is live, so the off path stays one nil check.
+		sloOn := t.sloT.Load() != nil
+		var pv uint64
+		if sloOn || tb != nil {
+			pv = t.violations.Load()
+		}
+		g.im.ResetSteps() // per-request step budget
+		t0 := time.Now()
+		if tb != nil {
+			span := tb.StartRequest(t0.UnixNano())
+			g.vm.SetRequestTag(binary.BigEndian.Uint64(span[:]))
+		}
+		err := g.runOne()
+		d := time.Since(t0)
+		t.latency.Observe(d)
+		t.metrics.latency.Observe(d)
+		t.requests.Add(1)
+		t.metrics.requests.Inc()
+		var fail uint64
+		if err != nil {
+			t.failures.Add(1)
+			t.metrics.failures.Inc()
+			res.Failures++
+			res.LastError = err.Error()
+			fail = 1
+		}
+		// The SLO fold judges the batch bad at record time; the tail sampler
+		// consumes that verdict per request span.
+		bad := false
+		if sloOn {
+			bad = t.sloRecordRequests(1, fail, t.violations.Load()-pv)
+		}
+		if tb != nil {
+			g.vm.SetRequestTag(0)
+			emsg := ""
+			if err != nil {
+				emsg = res.LastError
+			}
+			tb.EndRequest(t0.UnixNano()+d.Nanoseconds(), emsg, bad, int(t.violations.Load()-pv))
+		}
+	}
+	if collect {
+		vc := t.violations.Load()
+		if err := g.collectOne(); err != nil {
+			res.Failures++
+			res.LastError = err.Error()
+		}
+		// Violations from the trailing forced collection still spend the
+		// violation budget, attributed to no particular request.
+		if d := t.violations.Load() - vc; d > 0 {
+			t.sloRecordRequests(0, 0, d)
+		}
+	}
+	res.Violations = t.violations.Load() - v0
+	res.ElapsedNs = time.Since(start).Nanoseconds()
+	if tb != nil {
+		t.traceFinish(tb, &res)
+	}
+	return res
+}
+
+// Collect forces one collection on the calling goroutine.
 func (t *Tenant) Collect() error {
-	_, err := t.do(func(g *guest) (any, error) {
-		return nil, g.collectOne()
-	})
-	return err
+	return t.do((*guest).collectOne)
 }
 
 // runOne executes one guest request with per-request panic isolation: a
 // heap OOM or a ReactHalt violation fails this request, not the tenant.
 func (g *guest) runOne() (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = guestError(r)
-		}
-	}()
+	defer recoverGuest(&err)
 	return g.im.Run()
 }
 
 // collectOne forces a collection with the same isolation (ReactHalt
 // violations surface as errors).
 func (g *guest) collectOne() (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = guestError(r)
-		}
-	}()
+	defer recoverGuest(&err)
 	g.vm.Collect()
 	return nil
 }

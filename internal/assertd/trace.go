@@ -50,38 +50,40 @@ func (o *TraceOptions) validate() error {
 	return nil
 }
 
-// tenantTracer is the tenant's tracing state: the bounded trace store plus
-// the tail sampler. Held behind an atomic pointer (nil = off) exactly like
-// the SLO tracker, so the hot-path seam is one load.
+// tenantTracer is the tenant's tracing state: the bounded trace store, the
+// tail sampler and the span builder every traced batch reuses. Held behind
+// an atomic pointer (nil = off) exactly like the SLO tracker, so the
+// hot-path seam is one load.
 type tenantTracer struct {
 	store   *trace.Store
 	sampler trace.Sampler
+	builder *trace.Builder // guest holder only
 }
 
-func newTenantTracer(o *TraceOptions) *tenantTracer {
+func newTenantTracer(o *TraceOptions, tenant, instance string) *tenantTracer {
 	return &tenantTracer{
 		store:   trace.NewStore(o.Capacity),
 		sampler: trace.Sampler{SlowPauseNs: o.SlowPauseNs, Probability: o.Probability},
+		builder: trace.NewBuilder(tenant, instance, "drive"),
 	}
 }
 
 // traceBegin is the batch-path tracing seam: nil (one atomic load, zero
-// allocations) when the tenant has no trace config, otherwise a live span
-// builder for the batch, installed as the loop's active trace so the GC
-// event and violation taps feed it. Loop goroutine only.
+// allocations) when the tenant has no trace config, otherwise the tenant's
+// span builder reset for the batch and installed as the active trace so
+// the GC event and violation taps feed it. Guest holder only.
 func (t *Tenant) traceBegin(parent trace.SpanContext, n int, collect bool) *trace.Builder {
-	if t.trc.Load() == nil {
+	tr := t.trc.Load()
+	if tr == nil {
 		return nil
 	}
-	b := trace.NewBuilder(parent, t.id, t.srv.cfg.InstanceID, "drive", time.Now().UnixNano())
-	b.RootAttr("requests", n)
-	b.RootAttr("collect", collect)
-	t.activeTrace = b
-	return b
+	tr.builder.Reset(parent, time.Now().UnixNano(), n, collect)
+	t.activeTrace = tr.builder
+	return tr.builder
 }
 
 // traceTapEvent feeds a collection's telemetry event to the active trace,
-// if any. Called from onGCEvent on the service loop inside the
+// if any. Called from onGCEvent on the guest holder's goroutine inside the
 // stop-the-world window — one nil check when no traced batch is running.
 func (t *Tenant) traceTapEvent(ev *telemetry.Event) {
 	if b := t.activeTrace; b != nil {
@@ -90,27 +92,27 @@ func (t *Tenant) traceTapEvent(ev *telemetry.Event) {
 }
 
 // traceTapViolation feeds a violation report to the active trace, if any.
-// Same discipline as traceTapEvent: loop goroutine, inside the pause, one
-// nil check when off.
+// Same discipline as traceTapEvent: guest holder, inside the pause, one nil
+// check when off.
 func (t *Tenant) traceTapViolation(v *gcassert.Violation) {
 	if b := t.activeTrace; b != nil {
 		b.Violation(v.Kind.String(), v.TypeName, v.Site, v.Root, v.Message, t.clock().UnixNano())
 	}
 }
 
-// traceFinish closes out a traced batch: assemble the span tree, make the
-// tail-sampling keep/drop decision, and for kept traces store the document,
-// attach latency exemplars, and ship a sealed envelope to the fleet
-// collector. Loop goroutine only.
+// traceFinish closes out a traced batch: make the tail-sampling keep/drop
+// decision from the builder's counters, and only for a kept trace assemble
+// the span tree, store the document, attach latency exemplars, and ship a
+// sealed envelope to the fleet collector. A dropped trace costs the reply's
+// traceparent string and nothing else. Guest holder only.
 func (t *Tenant) traceFinish(b *trace.Builder, res *DriveResult) {
 	t.activeTrace = nil
 	tr := t.trc.Load()
 	if tr == nil || b == nil {
 		return
 	}
-	sc := b.Context()
-	res.TraceID = sc.TraceID.String()
-	res.Traceparent = sc.Traceparent()
+	res.Traceparent = b.Context().Traceparent()
+	res.TraceID = res.Traceparent[3:35]
 	keep, reason := tr.sampler.Keep(b.HasViolations(), b.SLOBad(), b.MaxPauseNs())
 	if !keep {
 		return

@@ -48,9 +48,9 @@ func BenchmarkTracingOff(b *testing.B) {
 
 // BenchmarkTracingOn measures the enabled-mode cost of building one traced
 // request (span open/close plus one GC event tap) for the EXPERIMENTS
-// overhead table. The builder is recreated each iteration the way a drive
-// batch would, but sampling always drops, isolating build cost from store
-// cost.
+// overhead table. The tenant's builder is reset each iteration the way a
+// drive batch resets it, and no trace is finished, isolating record cost
+// from store cost.
 func BenchmarkTracingOn(b *testing.B) {
 	s := NewServer(Config{})
 	defer s.Close()
@@ -85,7 +85,7 @@ class Main {
   }
 }`
 
-// benchDrive measures one full service-loop drive per iteration under the
+// benchDrive measures one full Tenant.Drive per iteration under the
 // given tenant options: the end-to-end number the per-seam benchmarks
 // decompose.
 func benchDrive(b *testing.B, topts TenantOptions) {

@@ -61,7 +61,7 @@ func getTrace(t *testing.T, ts *httptest.Server, tenant, traceID string) *trace.
 func TestTracedDriveEndToEnd(t *testing.T) {
 	const upstream = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
 
-	_, ts := testServer(t, assertd.Config{InstanceID: "trace-host"})
+	s, ts := testServer(t, assertd.Config{InstanceID: "trace-host"})
 	createTenant(t, ts, "leaker", assertd.TenantOptions{
 		HeapMiB:    2,
 		Provenance: "exhaustive",
@@ -156,6 +156,29 @@ func TestTracedDriveEndToEnd(t *testing.T) {
 	}
 	if viols != 3 {
 		t.Errorf("violation events on gc spans = %d, want 3", viols)
+	}
+
+	// The runtime's tag for a collection inside a request is that request's
+	// span ID, in the span ID's own hex form, and the gc span is parented on
+	// it.
+	tn, _ := s.Tenant("leaker")
+	tagged := 0
+	for _, ev := range tn.Events() {
+		if ev.Request == "" {
+			continue
+		}
+		tagged++
+		if req := spans[ev.Request]; req == nil || req.Name != "request" {
+			t.Errorf("collection %d tagged %q, which names no request span", ev.Seq, ev.Request)
+		}
+		for i := range doc.Spans {
+			if sp := &doc.Spans[i]; sp.Name == "gc" && sp.Attrs["seq"] == float64(ev.Seq) && sp.Parent != ev.Request {
+				t.Errorf("gc span of collection %d parented on %s, its tag says %s", ev.Seq, sp.Parent, ev.Request)
+			}
+		}
+	}
+	if tagged == 0 {
+		t.Error("no collection carries a request tag")
 	}
 	if !sawProvenance {
 		t.Error("no violation event carries allocated_at provenance (provenance=exhaustive)")

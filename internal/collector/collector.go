@@ -120,12 +120,12 @@ type Collector struct {
 	stats   Stats
 	last    Collection
 
-	// requestTag, when non-empty, stamps every collection record with the
+	// requestTag, when non-zero, stamps every collection record with the
 	// request currently executing (Collection.Request). Set and cleared by
 	// the tracing layer on the runtime's own goroutine, read at the top of
 	// Collect on the same goroutine — no synchronization needed, same
 	// single-goroutine discipline as the rest of the collector.
-	requestTag string
+	requestTag uint64
 }
 
 // New creates a collector over the given space and roots. hooks may be nil;
@@ -149,12 +149,12 @@ func (c *Collector) Infrastructure() bool { return c.infra }
 // GCCount returns the number of completed collections.
 func (c *Collector) GCCount() uint64 { return c.gcCount }
 
-// SetRequestTag names the request currently executing on the mutator; an
-// empty tag clears it. Every collection records the tag active when its
+// SetRequestTag names the request currently executing on the mutator; a
+// zero tag clears it. Every collection records the tag active when its
 // pause began (Collection.Request), giving the tracing layer exact
 // request-to-GC provenance instead of wall-clock inference. Call it from
 // the runtime's goroutine only, between collections.
-func (c *Collector) SetRequestTag(tag string) { c.requestTag = tag }
+func (c *Collector) SetRequestTag(tag uint64) { c.requestTag = tag }
 
 // Collect runs one full stop-the-world collection and returns its record.
 // reason is recorded in the stats (typically ReasonAllocFailure or

@@ -95,11 +95,11 @@ type Collection struct {
 	// installed a trigger explainer (Collector.ExplainTrigger).
 	Trigger Trigger
 	// Request is the request tag active when the collection began (set via
-	// Collector.SetRequestTag by the tracing layer; empty otherwise). It is
+	// Collector.SetRequestTag by the tracing layer; 0 otherwise). It is
 	// captured at the top of Collect — the moment the pause starts — so it
 	// names the request the pause actually interrupted, a property that
 	// stays correct when marking goes concurrent.
-	Request string
+	Request uint64
 }
 
 func (c Collection) String() string {

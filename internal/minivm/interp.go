@@ -40,15 +40,15 @@ type Image struct {
 	// registered — real IDs are never 0 while provenance is on).
 	provenance bool
 	sites      map[*MethodInfo][]gcassert.SiteID
-	// ints is the integer value stack and calls the control stack of
-	// suspended callers. Both keep what they grew to from one Run to the
-	// next; the reference stack is the rt frame of the Run in progress.
+	// ints is the integer value stack, calls the control stack of suspended
+	// callers and fr the reference stack, an rt frame pushed on th for each
+	// Run. All three keep what they grew to from one Run to the next.
 	ints  []int64
 	calls []activation
-	// fr, cur and sp are the Run in progress: its frame, the active
-	// activation and its operand depth. cur.pc and sp are current only while
-	// run is not running: run keeps them in registers.
-	fr  *gcassert.Frame
+	fr    *gcassert.Frame
+	// cur and sp are the Run in progress: the active activation and its
+	// operand depth. cur.pc and sp are current only while run is not
+	// running: run keeps them in registers.
 	cur activation
 	sp  int
 	// atSafepoint, when a test sets it, sees the active activation at every
@@ -122,10 +122,23 @@ func (im *Image) ResetSteps() { im.steps = 0 }
 // come back as *VMError; host panics (out of memory, a halting violation
 // reaction) pass through once the run's frame is popped.
 func (im *Image) Run() error {
-	// The frame is the reference stack. Pushing it at the integer stack's
-	// size gives it, in one allocation, what the previous Run grew to.
-	im.fr = im.th.Push(len(im.ints))
-	defer im.th.Pop()
+	// The frame is reused, and reserve leaves reference locals alone because
+	// invariant 1 says they are Nil. A Run that returns from main leaves
+	// every slot Nil (invariant 2 holds for main too); one that traps or
+	// panics out leaves references behind, which the next Run would scan as
+	// roots before overwriting them, so those exits clear the frame.
+	if im.fr == nil {
+		im.fr = im.th.Push(0)
+	} else {
+		im.th.PushFrame(im.fr)
+	}
+	returned := false
+	defer func() {
+		if !returned {
+			im.fr.Clear()
+		}
+		im.th.Pop()
+	}()
 	main := im.Unit.Main
 	im.fr.Resize(1)[0] = im.th.New(im.typeIDs[main.Class.Index])
 	im.calls, im.cur, im.sp = im.calls[:0], activation{m: main}, main.NumLocals
@@ -142,6 +155,7 @@ func (im *Image) Run() error {
 		top := base + m.NumLocals + m.MaxStack
 		more, err := im.run(im.cur.pc, im.sp, im.steps, limit, m.Code, im.ints[base:top], im.fr.Resize(top)[base:])
 		if !more {
+			returned = err == nil
 			return err
 		}
 	}

@@ -69,19 +69,34 @@ class Main {
 }
 
 // A trap leaves the image usable: the next Run starts from empty stacks.
+// The image reuses its reference frame from Run to Run, and a trap leaves
+// references in it — every activation's Box locals here — so the runs after
+// the first are checked at every safepoint: a slot left over from the
+// trapped run would be a stale root.
 func TestRunAfterTrap(t *testing.T) {
 	im := newImage(t, mustCompile(t, `
 class Box { int n; }
 class Main {
-  int f(Box b, int d) { if (d == 0) { return 1 / b.n; } return this.f(b, d - 1); }
+  int f(Box b, int d) {
+    Box k = new Box();
+    if (d == 0) { return 1 / b.n; }
+    return this.f(k, d - 1);
+  }
   void main() { print(this.f(new Box(), 40)); }
 }`), gcassert.Options{HeapBytes: 1 << 20}, io.Discard)
 	for i := 0; i < 3; i++ {
+		var safepoints *int
+		if i > 0 {
+			safepoints = checkRootsAtSafepoints(t, im)
+		}
 		if err := im.Run(); err == nil || !strings.Contains(err.Error(), "division by zero") {
 			t.Fatalf("run %d: err = %v", i, err)
 		}
 		if d := im.Thread().Depth(); d != 0 {
 			t.Fatalf("run %d left %d frames on the thread", i, d)
+		}
+		if safepoints != nil && *safepoints == 0 {
+			t.Fatalf("run %d reached no safepoint", i)
 		}
 	}
 }
@@ -131,37 +146,45 @@ func TestRootPrecision(t *testing.T) {
 			t.Run(mode+"/"+name, func(t *testing.T) {
 				opts.HeapBytes = 1 << 20
 				im := newImage(t, mustCompile(t, src), opts, io.Discard)
-				safepoints, widest := 0, 0
-				im.atSafepoint = func(sp int) {
-					safepoints++
-					m, base, fr := im.cur.m, im.cur.base, im.fr
-					top := base + m.NumLocals + m.MaxStack
-					if fr.Len() != top {
-						t.Fatalf("invariant 3: %d slots scanned in %s, its activation ends at %d", fr.Len(), m.Sig(), top)
-					}
-					widest = max(widest, top)
-					slots := fr.Resize(widest)
-					for i := base + sp; i < widest; i++ {
-						if slots[i] != gcassert.Nil {
-							t.Fatalf("invariants 1, 2: slot %d holds %v in %s with sp at %d", i, slots[i], m.Sig(), base+sp)
-						}
-					}
-					for i, isRef := range m.RefSlot {
-						if !isRef && slots[base+i] != gcassert.Nil {
-							t.Fatalf("integer local %d of %s has reference %v beside it", i, m.Sig(), slots[base+i])
-						}
-					}
-					fr.Resize(top)
-				}
+				safepoints := checkRootsAtSafepoints(t, im)
 				if err := im.Run(); err != nil {
 					t.Fatal(err)
 				}
-				if safepoints == 0 {
+				if *safepoints == 0 {
 					t.Fatal("the program reached no safepoint")
 				}
 			})
 		}
 	}
+}
+
+// checkRootsAtSafepoints makes im's next Runs check TestRootPrecision's
+// invariants at every safepoint, failing t at the first slot that breaks
+// one, and returns the count of safepoints checked.
+func checkRootsAtSafepoints(t *testing.T, im *Image) *int {
+	safepoints, widest := 0, 0
+	im.atSafepoint = func(sp int) {
+		safepoints++
+		m, base, fr := im.cur.m, im.cur.base, im.fr
+		top := base + m.NumLocals + m.MaxStack
+		if fr.Len() != top {
+			t.Fatalf("invariant 3: %d slots scanned in %s, its activation ends at %d", fr.Len(), m.Sig(), top)
+		}
+		widest = max(widest, top)
+		slots := fr.Resize(widest)
+		for i := base + sp; i < widest; i++ {
+			if slots[i] != gcassert.Nil {
+				t.Fatalf("invariants 1, 2: slot %d holds %v in %s with sp at %d", i, slots[i], m.Sig(), base+sp)
+			}
+		}
+		for i, isRef := range m.RefSlot {
+			if !isRef && slots[base+i] != gcassert.Nil {
+				t.Fatalf("integer local %d of %s has reference %v beside it", i, m.Sig(), slots[base+i])
+			}
+		}
+		fr.Resize(top)
+	}
+	return &safepoints
 }
 
 // An object held only by an operand-stack temporary is garbage once the

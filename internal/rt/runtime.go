@@ -293,14 +293,15 @@ func (r *Runtime) AllocSite(a heap.Addr) (heap.SiteID, string) {
 	return r.space.SiteOf(a), r.space.SiteDesc(a)
 }
 
-// SetRequestTag names the request the mutator is currently serving; an
-// empty tag clears it. Collections that begin while the tag is set carry
-// it on their record and telemetry event (Collection.Request,
-// Event.Request), which is how the gcassertd tracing layer parents a GC
-// pause under the exact request span it interrupted. Single-goroutine like
-// every other mutator-side call; with tracing off it is simply never
-// called.
-func (r *Runtime) SetRequestTag(tag string) { r.gc.SetRequestTag(tag) }
+// SetRequestTag names the request the mutator is currently serving; a zero
+// tag clears it. Collections that begin while the tag is set carry it on
+// their record (Collection.Request) and, as 16 lowercase hex digits, on
+// their telemetry event (Event.Request), which is how the gcassertd tracing
+// layer parents a GC pause under the exact request span it interrupted: its
+// tag is the span ID read as a big-endian uint64, so the event carries the
+// span ID's own hex form. Single-goroutine like every other mutator-side
+// call; with tracing off it is simply never called.
+func (r *Runtime) SetRequestTag(tag uint64) { r.gc.SetRequestTag(tag) }
 
 // Collect forces a collection.
 func (r *Runtime) Collect() collector.Collection {
@@ -328,7 +329,7 @@ func (r *Runtime) GetGlobal(g int) heap.Addr { return r.globals[g] }
 
 // NewThread creates a mutator context whose frames are scanned as roots.
 func (r *Runtime) NewThread(name string) *Thread {
-	t := &Thread{rt: r, id: r.nextTID, name: name}
+	t := &Thread{rt: r, id: r.nextTID, name: name, locals: name + ".locals"}
 	r.nextTID++
 	r.threads = append(r.threads, t)
 	return t

@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"fmt"
 	"time"
 
 	"gcassert/internal/collector"
@@ -61,7 +62,6 @@ func (s *telemetrySink) PhaseEnd(p collector.Phase, d time.Duration) {
 func (s *telemetrySink) GCEnd(col *collector.Collection) {
 	ev := &telemetry.Event{
 		Reason:        string(col.Reason),
-		Request:       col.Request,
 		StartUnixNs:   col.Start.UnixNano(),
 		TotalNs:       int64(col.TotalTime),
 		Phases:        s.phases,
@@ -72,6 +72,9 @@ func (s *telemetrySink) GCEnd(col *collector.Collection) {
 		WordsFreed:    col.WordsFreed,
 	}
 	s.phases = nil
+	if col.Request != 0 {
+		ev.Request = fmt.Sprintf("%016x", col.Request)
+	}
 	if s.r.engine != nil {
 		ev.Kinds = kindDeltas(s.engineBefore, s.r.engine.Stats())
 	}

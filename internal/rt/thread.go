@@ -15,6 +15,7 @@ type Thread struct {
 	rt       *Runtime
 	id       uint64
 	name     string
+	locals   string // every frame's root description: name + ".locals"
 	frames   []*Frame
 	inRegion bool
 
@@ -41,10 +42,15 @@ func (t *Thread) Name() string { return t.name }
 
 // Push creates a frame with n local slots and returns it.
 func (t *Thread) Push(n int) *Frame {
-	f := &Frame{slots: make([]heap.Addr, n), desc: t.name + ".locals"}
+	f := &Frame{slots: make([]heap.Addr, n), desc: t.locals}
 	t.frames = append(t.frames, f)
 	return f
 }
+
+// PushFrame pushes f again: a frame this thread's Push returned and Pop
+// has since discarded. Its slots come back as they were left, so a caller
+// that reuses a frame clears what must not be scanned again (Frame.Clear).
+func (t *Thread) PushFrame(f *Frame) { t.frames = append(t.frames, f) }
 
 // Pop discards the top frame; its slots stop being roots.
 func (t *Thread) Pop() {
@@ -95,6 +101,10 @@ func (f *Frame) Resize(n int) []heap.Addr {
 	f.slots = f.slots[:n]
 	return f.slots
 }
+
+// Clear sets every slot the frame holds to Nil, those above its window
+// included.
+func (f *Frame) Clear() { clear(f.slots[:cap(f.slots)]) }
 
 func (f *Frame) grow(n int) {
 	grown := make([]heap.Addr, max(n, 2*cap(f.slots)))

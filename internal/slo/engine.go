@@ -329,8 +329,11 @@ func (t *Tracker) Status() (Status, []AlertEvent) {
 	doc := Status{
 		ConfiguredUnixNs: t.configured,
 		Window:           t.spec.Window,
+		Objectives:       make([]ObjectiveStatus, 0, len(t.objs)),
 		Compliant:        true,
 	}
+	// Every objective's alerts, one per rule, are carved from one slice.
+	alerts := make([]AlertStatus, 0, 2*len(t.objs))
 	for i := range t.objs {
 		os := &t.objs[i]
 		total, bad := os.ring.sum(nowNs, int64(t.spec.Window))
@@ -344,9 +347,10 @@ func (t *Tracker) Status() (Status, []AlertEvent) {
 			BudgetRemainingRatio: t.budgetRemainingLocked(os, nowNs),
 			Met:                  total == 0 || float64(bad) <= os.budgetFrac*float64(total),
 		}
+		first := len(alerts)
 		for ri := range os.rules {
 			r := &os.rules[ri]
-			s.Alerts = append(s.Alerts, AlertStatus{
+			alerts = append(alerts, AlertStatus{
 				Severity: r.severity, State: r.state.String(), SinceUnixNs: r.sinceNs,
 				BurnShort: r.burnShort, BurnLong: r.burnLong, Threshold: r.threshold,
 			})
@@ -354,6 +358,7 @@ func (t *Tracker) Status() (Status, []AlertEvent) {
 				doc.Compliant = false
 			}
 		}
+		s.Alerts = alerts[first:len(alerts):len(alerts)]
 		if !s.Met {
 			doc.Compliant = false
 		}

@@ -97,11 +97,11 @@ type Event struct {
 	// Threads is per-thread cumulative allocation volume at event time (nil
 	// without cost attribution).
 	Threads []ThreadAlloc `json:"threads,omitempty"`
-	// Request is the request tag active when the collection began (the
-	// tracing layer sets Runtime.SetRequestTag around each traced request,
-	// typically to the request's span ID). Empty when tracing is off or no
-	// request was executing — the cost of the feature is then one string
-	// copy of "".
+	// Request is the request tag active when the collection began, as 16
+	// lowercase hex digits (the tracing layer sets Runtime.SetRequestTag
+	// around each traced request to the request's span ID, so this is the
+	// span ID's hex form). Empty when tracing is off or no request was
+	// executing.
 	Request string `json:"request,omitempty"`
 }
 

@@ -2,16 +2,23 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"gcassert/internal/telemetry"
 )
 
 // Builder accumulates one driven request batch into a span tree. It is
-// deliberately single-goroutine: gcassertd's tenant service loop is the
-// only writer (requests run there, and GC events and violations are
-// delivered synchronously on the same goroutine from inside the pause), so
-// the builder needs no locking — the finished Document is handed off to
-// the concurrency-safe Store.
+// deliberately single-goroutine: in gcassertd only the goroutine holding a
+// tenant's guest writes it (requests run there, and GC events and
+// violations are delivered synchronously on the same goroutine from inside
+// the pause), so the builder needs no locking — the finished Document is
+// handed off to the concurrency-safe Store.
+//
+// One Builder serves batch after batch: Reset starts the next one and keeps
+// the record slices' capacity. What a batch records is fixed-size per
+// request and per collection; the span tree, its ID strings and attribute
+// maps are built only by Finish, which runs only for a trace the sampler
+// keeps.
 //
 // Span parentage for GC collections prefers the runtime's own evidence:
 // the collector stamps every collection with the request tag active when
@@ -27,7 +34,10 @@ type Builder struct {
 	instance     string
 	rootName     string
 	startNs      int64
-	rootAttrs    map[string]any
+	// requests and collect become the root span's "requests" and "collect"
+	// attributes.
+	requests int
+	collect  bool
 
 	reqs    []reqRecord
 	gcs     []gcRecord
@@ -51,25 +61,32 @@ type gcRecord struct {
 	viols []SpanEvent
 }
 
-// NewBuilder starts a trace for one batch. A valid parent context (from
-// the incoming traceparent) continues the caller's trace with the root
-// span parented under the caller's span; otherwise a fresh trace ID is
-// minted. rootName names the root span ("drive").
-func NewBuilder(parent SpanContext, tenant, instance, rootName string, startNs int64) *Builder {
-	b := &Builder{
-		tenant:   tenant,
-		instance: instance,
-		rootName: rootName,
-		startNs:  startNs,
-	}
+// NewBuilder returns a builder for one tenant's batches; Reset starts each.
+// rootName names the root span ("drive").
+func NewBuilder(tenant, instance, rootName string) *Builder {
+	return &Builder{tenant: tenant, instance: instance, rootName: rootName}
+}
+
+// Reset starts the trace of the next batch, dropping what the previous one
+// recorded. A valid parent context (from the incoming traceparent)
+// continues the caller's trace with the root span parented under the
+// caller's span; otherwise a fresh trace ID is minted. requests and collect
+// annotate the root span. A Document that Finish returned earlier shares
+// nothing Reset reuses.
+func (b *Builder) Reset(parent SpanContext, startNs int64, requests int, collect bool) {
+	b.startNs, b.requests, b.collect = startNs, requests, collect
 	if parent.IsValid() {
 		b.traceID = parent.TraceID
 		b.remoteParent = parent.SpanID
 	} else {
 		b.traceID = NewTraceID()
+		b.remoteParent = SpanID{}
 	}
 	b.rootSpan = b.newSpanID()
-	return b
+	b.reqs = b.reqs[:0]
+	clear(b.gcs) // drop the previous batch's event slices
+	b.gcs = b.gcs[:0]
+	b.pending = nil
 }
 
 func (b *Builder) newSpanID() SpanID {
@@ -85,17 +102,10 @@ func (b *Builder) Context() SpanContext {
 	return SpanContext{TraceID: b.traceID, SpanID: b.rootSpan, Sampled: true}
 }
 
-// RootAttr annotates the root span.
-func (b *Builder) RootAttr(key string, value any) {
-	if b.rootAttrs == nil {
-		b.rootAttrs = make(map[string]any)
-	}
-	b.rootAttrs[key] = value
-}
-
 // StartRequest opens the next request's span and returns its ID — the
-// caller tags the runtime with it (Runtime.SetRequestTag) so collections
-// triggered inside the request carry exact provenance.
+// caller tags the runtime with it (Runtime.SetRequestTag, the ID read as a
+// big-endian uint64) so collections triggered inside the request carry
+// exact provenance.
 func (b *Builder) StartRequest(startNs int64) SpanID {
 	id := b.newSpanID()
 	b.reqs = append(b.reqs, reqRecord{span: id, startNs: startNs, endNs: startNs})
@@ -142,7 +152,7 @@ func (b *Builder) Violation(kind, typeName, site, rootDesc, message string, unix
 }
 
 // GCEvent records one completed collection (called from the telemetry
-// OnRecord tap, inside the pause, on the service goroutine) and adopts any
+// OnRecord tap, inside the pause, on the batch's goroutine) and adopts any
 // pending violations as its own.
 func (b *Builder) GCEvent(ev *telemetry.Event) {
 	rec := gcRecord{ev: *ev}
@@ -210,7 +220,7 @@ func (b *Builder) Finish(endNs int64) *Document {
 		Name:        b.rootName,
 		StartUnixNs: b.startNs,
 		EndUnixNs:   endNs,
-		Attrs:       b.rootAttrs,
+		Attrs:       map[string]any{"requests": b.requests, "collect": b.collect},
 	}
 	if !b.remoteParent.IsZero() {
 		root.Parent = b.remoteParent.String()
@@ -249,7 +259,7 @@ func (b *Builder) Finish(endNs int64) *Document {
 		}
 	})
 
-	spanIDByReq := make(map[int]string, len(b.reqs))
+	spanIDByReq := make([]string, len(b.reqs))
 	reqSpans := make([]Span, 0, len(b.reqs))
 	for i, r := range b.reqs {
 		id := r.span.String()
@@ -284,11 +294,8 @@ func (b *Builder) Finish(endNs int64) *Document {
 		parent := d.RootSpanID
 		if ev.Request != "" {
 			// Exact provenance: the collector stamped the active request.
-			for ri := range b.reqs {
-				if b.reqs[ri].span.String() == ev.Request {
-					parent = spanIDByReq[ri]
-					break
-				}
+			if slices.Contains(spanIDByReq, ev.Request) {
+				parent = ev.Request
 			}
 		} else if evOwner[i] >= 0 {
 			parent = spanIDByReq[evOwner[i]]

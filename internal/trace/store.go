@@ -21,7 +21,7 @@ type Summary struct {
 
 // Store is a bounded in-memory trace store: FIFO by insertion, oldest
 // evicted first when the bound is hit. One Store per tenant; safe for
-// concurrent use (the service loop puts, HTTP handlers get).
+// concurrent use (the drive that keeps a trace puts, other handlers get).
 type Store struct {
 	mu    sync.Mutex
 	cap   int

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -220,21 +222,16 @@ func seqIDs() func() SpanID {
 
 func TestBuilderSpanTree(t *testing.T) {
 	parent := SpanContext{TraceID: mustTraceID(t, "0af7651916cd43dd8448eb211c80319c"), SpanID: mustSpanID(t, "b7ad6b7169203331"), Sampled: true}
-	b := NewBuilder(parent, "acme", "host-1", "drive", 1000)
+	b := NewBuilder("acme", "host-1", "drive")
 	b.NewSpanIDFn = seqIDs()
-	// NewBuilder already minted the root span from the default generator;
-	// rebuild with the hook installed so every ID is deterministic.
-	b = NewBuilder(parent, "acme", "host-1", "drive", 1000)
-	b.NewSpanIDFn = seqIDs()
-	b.rootSpan = b.newSpanID() // root = 1
-	b.RootAttr("requests", 2)
+	b.Reset(parent, 1000, 2, false) // root = 1
 
 	// Request 0: [1000, 2000), carries a tag-matched GC.
 	r0 := b.StartRequest(1000) // span 2
 	ev0 := pauseEvent(1500, 100)
 	ev0.Seq = 7
 	ev0.Reason = "allocation-failure"
-	ev0.Request = r0.String()
+	ev0.Request = fmt.Sprintf("%016x", binary.BigEndian.Uint64(r0[:])) // as the runtime renders its tag
 	ev0.Trigger = "occupancy"
 	ev0.OccupancyPct = 87.5
 	ev0.Costs = []telemetry.AssertCost{{Kind: "assert-dead", Checks: 3, Ns: 42}}
@@ -296,6 +293,9 @@ func TestBuilderSpanTree(t *testing.T) {
 	}
 	if root.Parent != parent.SpanID.String() {
 		t.Errorf("root parent = %q, want remote parent %s", root.Parent, parent.SpanID)
+	}
+	if root.Attrs["requests"] != 2 || root.Attrs["collect"] != false {
+		t.Errorf("root attrs = %v, want requests 2 and collect false", root.Attrs)
 	}
 	if len(root.Events) != 1 || root.Events[0].Name != "violation:assert-ownedby" {
 		t.Errorf("orphan violation not on root: %+v", root.Events)
@@ -376,7 +376,8 @@ func TestBuilderSpanTree(t *testing.T) {
 }
 
 func TestBuilderFreshTrace(t *testing.T) {
-	b := NewBuilder(SpanContext{}, "acme", "host-1", "drive", 0)
+	b := NewBuilder("acme", "host-1", "drive")
+	b.Reset(SpanContext{}, 0, 1, false)
 	if b.Context().TraceID.IsZero() {
 		t.Fatal("no trace ID minted without a remote parent")
 	}
@@ -387,6 +388,49 @@ func TestBuilderFreshTrace(t *testing.T) {
 	root := doc.Span(doc.RootSpanID)
 	if root == nil || root.Parent != "" {
 		t.Errorf("fresh trace root must have no parent: %+v", root)
+	}
+}
+
+// One builder serves every batch of a tenant. Resetting it for the next
+// batch must neither leak the previous batch's records into the new trace
+// nor change a document Finish already returned for the old one.
+func TestBuilderResetKeepsFinishedDocument(t *testing.T) {
+	parent := SpanContext{TraceID: mustTraceID(t, "0af7651916cd43dd8448eb211c80319c"), SpanID: mustSpanID(t, "b7ad6b7169203331"), Sampled: true}
+	b := NewBuilder("acme", "host-1", "drive")
+	b.Reset(parent, 1000, 1, true)
+	b.StartRequest(1000)
+	b.Violation("assert-dead", "Node", "main.go:10", "", "", 1500)
+	ev := pauseEvent(1500, 100)
+	b.GCEvent(&ev)
+	b.EndRequest(2000, "", false, 1)
+	first := b.Finish(2100)
+	firstJSON, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b.Reset(SpanContext{}, 3000, 1, false)
+	if b.HasViolations() || b.MaxPauseNs() != 0 || b.SLOBad() {
+		t.Fatal("reset builder still reports the previous batch")
+	}
+	if b.Context().TraceID == parent.TraceID {
+		t.Fatal("a batch without a parent continued the previous batch's trace")
+	}
+	b.StartRequest(3000)
+	b.Violation("assert-unshared", "Leaf", "main.go:20", "", "", 3500)
+	ev = pauseEvent(3500, 50)
+	b.GCEvent(&ev)
+	b.EndRequest(4000, "", false, 1)
+	second := b.Finish(4100)
+
+	if again, _ := json.Marshal(first); string(again) != string(firstJSON) {
+		t.Errorf("finishing the next batch changed the earlier document:\nbefore %s\nafter  %s", firstJSON, again)
+	}
+	if second.Requests != 1 || second.GCs != 1 || second.Violations != 1 {
+		t.Errorf("second rollup requests=%d gcs=%d violations=%d, want 1 each", second.Requests, second.GCs, second.Violations)
+	}
+	if root := second.Span(second.RootSpanID); root == nil || root.Parent != "" {
+		t.Errorf("second root kept the first batch's remote parent: %+v", root)
 	}
 }
 

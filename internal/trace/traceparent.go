@@ -1,13 +1,15 @@
 package trace
 
 import (
-	"fmt"
+	"encoding/hex"
 	"strings"
 )
 
 // Header is the W3C trace-context header name carried on every gcassertd
-// request and response.
-const Header = "traceparent"
+// request and response. Header names are case-insensitive; this one is
+// spelled in Go's canonical form so http.Header's Get and Set use it as is
+// instead of allocating a canonicalised copy on every request.
+const Header = "Traceparent"
 
 // SpanContext is a propagated trace position: which trace, which span is
 // the current parent, and whether the upstream chose to sample.
@@ -17,17 +19,26 @@ type SpanContext struct {
 	Sampled bool
 }
 
+// traceparentLen is the length of a version-00 traceparent.
+const traceparentLen = len("00-") + 32 + len("-") + 16 + len("-00")
+
 // IsValid reports whether both IDs are non-zero.
 func (sc SpanContext) IsValid() bool { return !sc.TraceID.IsZero() && !sc.SpanID.IsZero() }
 
 // Traceparent renders the context in W3C form:
-// "00-<32 hex trace-id>-<16 hex span-id>-<2 hex flags>".
+// "00-<32 hex trace-id>-<16 hex span-id>-<2 hex flags>". The trace ID is
+// bytes [3, 35) of the result.
 func (sc SpanContext) Traceparent() string {
-	flags := "00"
+	var b [traceparentLen]byte
+	copy(b[:], "00-")
+	hex.Encode(b[3:35], sc.TraceID[:])
+	b[35] = '-'
+	hex.Encode(b[36:52], sc.SpanID[:])
+	copy(b[52:], "-00")
 	if sc.Sampled {
-		flags = "01"
+		b[54] = '1'
 	}
-	return fmt.Sprintf("00-%s-%s-%s", sc.TraceID, sc.SpanID, flags)
+	return string(b[:])
 }
 
 // ParseTraceparent parses a W3C traceparent header. It accepts any
@@ -36,16 +47,18 @@ func (sc SpanContext) Traceparent() string {
 // IDs. ok=false means "no usable upstream context" — never an error the
 // request should fail on.
 func ParseTraceparent(h string) (sc SpanContext, ok bool) {
+	// "vv-<32>-<16>-ff": every field has a fixed width, so a valid header
+	// has its dashes at fixed offsets, and only a future version may go on,
+	// with a dash, past the flags.
 	h = strings.TrimSpace(h)
-	parts := strings.Split(h, "-")
-	if len(parts) < 4 {
+	if len(h) < traceparentLen || h[2] != '-' || h[35] != '-' || h[52] != '-' {
 		return SpanContext{}, false
 	}
-	ver, tid, sid, flags := parts[0], parts[1], parts[2], parts[3]
-	if len(ver) != 2 || ver == "ff" || !isHex(ver) {
+	ver, tid, sid, flags := h[:2], h[3:35], h[36:52], h[53:55]
+	if ver == "ff" || !isHex(ver) {
 		return SpanContext{}, false
 	}
-	if ver == "00" && len(parts) != 4 {
+	if len(h) > traceparentLen && (ver == "00" || h[traceparentLen] != '-') {
 		return SpanContext{}, false
 	}
 	// The wire format is lowercase hex only (hex.Decode would also accept
@@ -61,7 +74,7 @@ func ParseTraceparent(h string) (sc SpanContext, ok bool) {
 	if err != nil {
 		return SpanContext{}, false
 	}
-	if len(flags) != 2 || !isHex(flags) {
+	if !isHex(flags) {
 		return SpanContext{}, false
 	}
 	sc = SpanContext{TraceID: t, SpanID: s, Sampled: flags[1]&1 == 1}
