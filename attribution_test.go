@@ -84,9 +84,9 @@ func TestAttributionCheckCountsAreExact(t *testing.T) {
 			if col.Trigger.Why == "" {
 				t.Fatalf("seed %d round %d: collection has no trigger explanation", seed, round)
 			}
-			want, names := core.CheckDeltas(before, after), core.KindNames()
-			if len(col.AssertCost) != len(names) {
-				t.Fatalf("seed %d round %d: %d cost rows, want %d", seed, round, len(col.AssertCost), len(names))
+			want := core.CheckDeltas(before, after)
+			if len(col.AssertCost) != core.NumKinds {
+				t.Fatalf("seed %d round %d: %d cost rows, want %d", seed, round, len(col.AssertCost), core.NumKinds)
 			}
 			for k, c := range col.AssertCost {
 				if c.Ns < 0 {
@@ -94,9 +94,9 @@ func TestAttributionCheckCountsAreExact(t *testing.T) {
 						seed, round, c.Kind, c.Ns)
 				}
 				total[k] += c.Checks
-				if c.Kind != names[k] || c.Checks != want[k] {
+				if name := core.Kind(k).String(); c.Kind != name || c.Checks != want[k] {
 					t.Errorf("seed %d round %d: row %d is %s with %d checks, engine counted %d for %s",
-						seed, round, k, c.Kind, c.Checks, want[k], names[k])
+						seed, round, k, c.Kind, c.Checks, want[k], name)
 				}
 			}
 		}

@@ -178,37 +178,67 @@ func BenchmarkAblationOwneeScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryOff verifies the acceptance criterion for the
-// observability layer: with telemetry disabled (the default), a full-heap
-// collection of a fixed 200k-object list shows exactly the collector's
-// pre-existing allocation baseline (2 allocs/op: the escaping Collection
-// record and the root-scan closure) — the nil Observer check adds nothing
-// to markBase/markInfra. Compare against BenchmarkTelemetryOn for the
-// enabled-mode cost (one Event plus its phase/kind slices per collection).
-func BenchmarkTelemetryOff(b *testing.B) {
+// BenchmarkLayersOff pins what an optional layer costs when it is off, as
+// it is by default: nothing. Each row is one layer, in both trace
+// configurations, and asserts before timing full-heap collections of a
+// fixed 200k-object list that
+//
+//   - an allocation makes 0 host allocations,
+//   - a collection makes at most 2, the collector's own baseline (the
+//     escaping Collection record and the root-scan closure),
+//   - the layer's accessor reports it off.
+//
+// so `go test -bench BenchmarkLayersOff` fails loudly on a regression. The
+// *On benchmarks below measure each layer on.
+func BenchmarkLayersOff(b *testing.B) {
+	layers := []struct {
+		name string
+		off  func(vm *gcassert.Runtime) bool
+	}{
+		{"Telemetry", func(vm *gcassert.Runtime) bool { return vm.Telemetry() == nil }},
+		{"Census", func(vm *gcassert.Runtime) bool { return vm.Census() == nil }},
+		{"Provenance", func(vm *gcassert.Runtime) bool { return vm.RegisterAllocSite("bench.go:1: new Node") == 0 }},
+		{"Attribution", func(vm *gcassert.Runtime) bool { _, ok := vm.Pressure(); return !ok }},
+		{"FleetExport", func(vm *gcassert.Runtime) bool { return vm.FleetExporter() == nil }},
+	}
 	for _, infra := range []bool{false, true} {
-		name := "Base"
+		mode := "Base"
 		if infra {
-			name = "Infrastructure"
+			mode = "Infrastructure"
 		}
-		infra := infra
-		b.Run(name, func(b *testing.B) {
-			vm := gcassert.New(gcassert.Options{HeapBytes: 32 << 20, Infrastructure: infra})
-			node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
-			th := vm.NewThread("main")
-			fr := th.Push(1)
-			buildList(vm, th, fr, node, 200_000)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				vm.Collect()
-			}
-		})
+		for _, l := range layers {
+			infra, l := infra, l
+			b.Run(mode+"/"+l.name, func(b *testing.B) {
+				vm := gcassert.New(gcassert.Options{HeapBytes: 32 << 20, Infrastructure: infra})
+				node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
+				th := vm.NewThread("main")
+				fr := th.Push(1)
+				fr.Set(0, th.New(node)) // settle lazy size-class growth
+				if allocs := testing.AllocsPerRun(1000, func() { fr.Set(0, th.New(node)) }); allocs != 0 {
+					b.Fatalf("%s off: an allocation makes %.2f host allocations, want 0", l.name, allocs)
+				}
+				fr.Set(0, gcassert.Nil)
+				buildList(vm, th, fr, node, 200_000)
+				vm.Collect() // settle one-time lazy growth before measuring
+				if allocs := testing.AllocsPerRun(3, func() { vm.Collect() }); allocs > 2 {
+					b.Fatalf("%s off: a collection makes %.0f host allocations, want <= 2 (baseline)", l.name, allocs)
+				}
+				if !l.off(vm) {
+					b.Fatalf("%s reports itself on in a runtime that did not enable it", l.name)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					vm.Collect()
+				}
+			})
+		}
 	}
 }
 
 // BenchmarkTelemetryOn is the enabled-mode counterpart of
-// BenchmarkTelemetryOff: same collection, telemetry recording every cycle.
+// BenchmarkLayersOff/Infrastructure/Telemetry: same collection, telemetry
+// recording every cycle.
 func BenchmarkTelemetryOn(b *testing.B) {
 	vm := gcassert.New(gcassert.Options{
 		HeapBytes:      32 << 20,
@@ -226,84 +256,10 @@ func BenchmarkTelemetryOn(b *testing.B) {
 	}
 }
 
-// BenchmarkCensusOff verifies the acceptance criterion for the
-// introspection layer: with introspection disabled (the default), a
-// full-heap collection of a fixed 200k-object list stays at the collector's
-// pre-existing allocation baseline (2 allocs/op: the escaping Collection
-// record and the root-scan closure) — the nil OnMark check adds zero
-// allocations to the mark hot path. The b.N loop asserts this in-line so
-// `go test -bench BenchmarkCensusOff` fails loudly on a regression instead
-// of requiring a human to read allocs/op.
-func BenchmarkCensusOff(b *testing.B) {
-	for _, infra := range []bool{false, true} {
-		name := "Base"
-		if infra {
-			name = "Infrastructure"
-		}
-		infra := infra
-		b.Run(name, func(b *testing.B) {
-			vm := gcassert.New(gcassert.Options{HeapBytes: 32 << 20, Infrastructure: infra})
-			node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
-			th := vm.NewThread("main")
-			fr := th.Push(1)
-			buildList(vm, th, fr, node, 200_000)
-			vm.Collect() // settle one-time lazy growth before measuring
-			b.ReportAllocs()
-			allocs := testing.AllocsPerRun(3, func() { vm.Collect() })
-			if allocs > 2 {
-				b.Fatalf("disabled-introspection collection allocates %.0f times/op, want <= 2 (baseline)", allocs)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				vm.Collect()
-			}
-		})
-	}
-}
-
-// BenchmarkProvenanceOff verifies the acceptance criterion for
-// allocation-site provenance: with provenance disabled (the default), the
-// allocation fast path performs zero Go allocations — the site==0 literal in
-// New and the nil-provenance check in the sweep cost nothing — and a
-// full-heap collection stays at the collector's pre-existing 2-allocs/op
-// baseline. Asserted in-line like BenchmarkCensusOff so `go test -bench
-// BenchmarkProvenanceOff` fails loudly on a regression.
-func BenchmarkProvenanceOff(b *testing.B) {
-	for _, infra := range []bool{false, true} {
-		name := "Base"
-		if infra {
-			name = "Infrastructure"
-		}
-		infra := infra
-		b.Run(name, func(b *testing.B) {
-			vm := gcassert.New(gcassert.Options{HeapBytes: 64 << 20, Infrastructure: infra})
-			node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
-			th := vm.NewThread("main")
-			fr := th.Push(1)
-			fr.Set(0, th.New(node)) // settle lazy size-class growth
-			if allocs := testing.AllocsPerRun(1000, func() {
-				fr.Set(0, th.New(node))
-			}); allocs != 0 {
-				b.Fatalf("provenance-off allocation path allocates %.2f times/op, want 0", allocs)
-			}
-			fr.Set(0, gcassert.Nil)
-			buildList(vm, th, fr, node, 200_000)
-			vm.Collect()
-			b.ReportAllocs()
-			if allocs := testing.AllocsPerRun(3, func() { vm.Collect() }); allocs > 2 {
-				b.Fatalf("provenance-off collection allocates %.0f times/op, want <= 2 (baseline)", allocs)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fr.Set(0, th.New(node))
-			}
-		})
-	}
-}
-
 // BenchmarkProvenanceOn measures the enabled modes for the overhead table in
 // EXPERIMENTS.md: every allocation recorded (exhaustive) versus 1-in-64
-// sampling on the same allocation loop as BenchmarkProvenanceOff.
+// sampling, against the same allocation loop with provenance off
+// (BenchmarkMicroAlloc).
 func BenchmarkProvenanceOn(b *testing.B) {
 	modes := []struct {
 		name, prov string
@@ -333,9 +289,9 @@ func BenchmarkProvenanceOn(b *testing.B) {
 }
 
 // BenchmarkCensusOn is the enabled-mode counterpart: the same collection
-// with the census observing every mark. Compare ns/op against
-// BenchmarkCensusOff for the census overhead; the snapshot built at GCEnd
-// accounts for the extra allocs/op.
+// with the census walking the survivors after every sweep. Compare ns/op
+// against BenchmarkLayersOff/Base/Census for the census overhead; the
+// snapshot built at GCEnd accounts for the extra allocs/op.
 func BenchmarkCensusOn(b *testing.B) {
 	vm := gcassert.New(gcassert.Options{HeapBytes: 32 << 20, Introspection: true})
 	node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
@@ -409,50 +365,6 @@ func BenchmarkMicroAssertOwnedBy(b *testing.B) {
 	}
 }
 
-// BenchmarkAttributionOff verifies the acceptance criterion for the
-// cost-attribution layer: with CostAttribution disabled (the default), the
-// allocation fast path performs zero Go allocations — the per-thread
-// counters sit behind one nil-check — and a full-heap collection stays at
-// the collector's pre-existing 2-allocs/op baseline (the trigger
-// explainer and the per-kind timers all hide behind one nil-check per
-// phase). Asserted in-line like BenchmarkProvenanceOff so `go test
-// -bench BenchmarkAttributionOff` fails loudly on a regression.
-func BenchmarkAttributionOff(b *testing.B) {
-	for _, infra := range []bool{false, true} {
-		name := "Base"
-		if infra {
-			name = "Infrastructure"
-		}
-		infra := infra
-		b.Run(name, func(b *testing.B) {
-			vm := gcassert.New(gcassert.Options{HeapBytes: 64 << 20, Infrastructure: infra})
-			node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
-			th := vm.NewThread("main")
-			fr := th.Push(1)
-			fr.Set(0, th.New(node)) // settle lazy size-class growth
-			if allocs := testing.AllocsPerRun(1000, func() {
-				fr.Set(0, th.New(node))
-			}); allocs != 0 {
-				b.Fatalf("attribution-off allocation path allocates %.2f times/op, want 0", allocs)
-			}
-			fr.Set(0, gcassert.Nil)
-			buildList(vm, th, fr, node, 200_000)
-			vm.Collect()
-			b.ReportAllocs()
-			if allocs := testing.AllocsPerRun(3, func() { vm.Collect() }); allocs > 2 {
-				b.Fatalf("attribution-off collection allocates %.0f times/op, want <= 2 (baseline)", allocs)
-			}
-			if _, ok := vm.Pressure(); ok {
-				b.Fatal("Pressure() reports stats on an attribution-off runtime")
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				vm.Collect()
-			}
-		})
-	}
-}
-
 // BenchmarkAttributionOn is the enabled-mode counterpart for the overhead
 // table in EXPERIMENTS.md: the same collection with per-kind cost
 // accounting, the trigger explainer, and per-thread pressure counters all
@@ -485,44 +397,12 @@ func BenchmarkAttributionOn(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetExportOff verifies the acceptance criterion for the fleet
-// exporter: with FleetURL unset (the default), the exporter does not exist
-// and adds zero allocations to the allocation path and nothing beyond the
-// collection baseline. Asserted in-line like BenchmarkProvenanceOff so
-// `go test -bench BenchmarkFleetExportOff` fails loudly on a regression.
-func BenchmarkFleetExportOff(b *testing.B) {
-	vm := gcassert.New(gcassert.Options{HeapBytes: 64 << 20, Infrastructure: true})
-	node := vm.Define("FNode", gcassert.Field{Name: "next", Ref: true})
-	th := vm.NewThread("main")
-	fr := th.Push(1)
-	fr.Set(0, th.New(node)) // settle lazy size-class growth
-	if allocs := testing.AllocsPerRun(1000, func() {
-		fr.Set(0, th.New(node))
-	}); allocs != 0 {
-		b.Fatalf("fleet-off allocation path allocates %.2f times/op, want 0", allocs)
-	}
-	if vm.FleetExporter() != nil {
-		b.Fatal("FleetExporter() exists on a fleet-off runtime")
-	}
-	fr.Set(0, gcassert.Nil)
-	buildList(vm, th, fr, node, 200_000)
-	vm.Collect()
-	b.ReportAllocs()
-	if allocs := testing.AllocsPerRun(3, func() { vm.Collect() }); allocs > 2 {
-		b.Fatalf("fleet-off collection allocates %.0f times/op, want <= 2 (baseline)", allocs)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vm.Collect()
-	}
-}
-
 // BenchmarkFleetExportOn measures what exporting costs the collection when
 // it is on: census introspection plus sealing/enqueueing an envelope every
 // FleetEvery collections, shipped to a local collector on the exporter's
 // background goroutine. The control sub-benchmark runs the identical
 // configuration minus the exporter, so the delta is the export itself (the
-// 200k-node list matches BenchmarkFleetExportOff).
+// 200k-node list matches BenchmarkLayersOff).
 func BenchmarkFleetExportOn(b *testing.B) {
 	store, err := fleet.OpenStore(b.TempDir(), 0)
 	if err != nil {

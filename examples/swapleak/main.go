@@ -23,12 +23,12 @@ import (
 )
 
 func main() {
+	rep := &gcassert.CollectingReporter{}
 	vm := gcassert.New(gcassert.Options{
 		HeapBytes:      8 << 20,
 		Infrastructure: true,
+		Reporter:       rep,
 	})
-	rep := &gcassert.CollectingReporter{}
-	vm.Engine().SetReporter(rep)
 
 	sobject := vm.Define("SObject",
 		gcassert.Field{Name: "rep", Ref: true},

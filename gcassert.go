@@ -178,8 +178,8 @@ type Options struct {
 	// Telemetry enables the observability layer (structured GC event
 	// trace, Prometheus metrics with a pause histogram, violation log,
 	// HTTP surface) — see Runtime.Telemetry. It works in every mode,
-	// including Base. Disabled (the default), the collector pays one
-	// nil-check per phase and the mark hot path gains zero allocations.
+	// including Base. Disabled (the default), the collector has no telemetry
+	// observer and the mark loop is the same either way.
 	Telemetry bool
 	// TelemetryRingSize bounds the retained GC event trace (default 1024
 	// events; older events are evicted but cumulative metrics keep
@@ -217,8 +217,8 @@ type Options struct {
 	// occupancy timeline. Works in every mode; with Telemetry the costs and
 	// trigger ride on the event stream, the /metrics surface
 	// (gcassert_gc_assert_cost_seconds{kind}), and the /debug/gcassert/live
-	// SSE feed that cmd/gctop renders. Disabled (the default), the mark hot
-	// path pays one nil-check per phase and gains zero allocations.
+	// SSE feed that cmd/gctop renders. Disabled (the default), the mark loop
+	// is untouched and collections gain zero allocations.
 	CostAttribution bool
 	// InstanceID names this runtime instance in exported artifacts: flight
 	// bundles, census documents, and fleet envelopes. Empty generates a
@@ -248,12 +248,12 @@ type Options struct {
 	// content, so steady-state replicas are nearly free to report).
 	FleetEvery int
 	// Introspection enables the heap-introspection layer: a per-type live
-	// census piggybacked on every collection's mark phase, snapshot
-	// diffing with Cork-style leak-suspect ranking, and on-demand dominator
-	// / retained-size analysis — see Runtime.CensusSnapshots, LeakSuspects
-	// and Dominators. Works in every mode, including Base. Disabled (the
-	// default), the mark hot path pays one nil-check per marked object and
-	// allocates nothing.
+	// census taken at the end of every collection from the allocation
+	// bitmaps (after the sweep every allocated object is a survivor),
+	// snapshot diffing with Cork-style leak-suspect ranking, and on-demand
+	// dominator / retained-size analysis — see Runtime.CensusSnapshots,
+	// LeakSuspects and Dominators. Works in every mode, including Base.
+	// Disabled (the default), nothing runs and nothing is allocated.
 	Introspection bool
 	// CensusRingSize bounds the retained census snapshots (default 64).
 	CensusRingSize int

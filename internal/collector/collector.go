@@ -73,6 +73,11 @@ type Hooks interface {
 	// PostMark runs after tracing completes, before sweep: volume-assertion
 	// checks and weak-registration pruning happen here.
 	PostMark(c *Collector)
+	// CollectionCosts returns the per-kind cost rows of the collection that
+	// just finished sweeping (dead-verification counts accrue in the sweep),
+	// or nil when cost attribution is off. The returned slice is owned by
+	// the caller.
+	CollectionCosts() []AssertCost
 }
 
 // Collector drives collections over a Space.
@@ -80,12 +85,9 @@ type Collector struct {
 	space *heap.Space
 	roots RootScanner
 
-	// hooks is non-nil only when infrastructure mode is enabled. costHooks
-	// caches the CostHooks type assertion so Collect pays one nil-check for
-	// cost harvesting instead of an interface assertion per cycle.
-	hooks     Hooks
-	costHooks CostHooks
-	infra     bool
+	// hooks is non-nil only when infrastructure mode is enabled.
+	hooks Hooks
+	infra bool
 
 	// stack is the mark worklist. In infrastructure mode entries may carry
 	// the visited bit (bit 0), which is guaranteed free by word alignment.
@@ -99,22 +101,9 @@ type Collector struct {
 	// allFirstMarks caches Hooks.WantAllFirstMarks for the current cycle.
 	allFirstMarks bool
 
-	// Observer, if non-nil, receives collection-lifecycle callbacks
-	// (telemetry). The disabled path costs one nil-check per phase.
-	Observer Observer
-	// OnMark, if non-nil, is invoked once for every object the trace marks,
-	// in both Base and Infrastructure configurations. The heap-census
-	// introspection layer hangs off this: the collector already visits every
-	// live object, so a per-type census is one callback away (the paper's
-	// "nearly free" piggybacking argument applied to observability). When
-	// nil (the default) the mark hot path pays a single predictable branch
-	// and zero allocations, mirroring the Observer pattern.
-	OnMark func(heap.Addr)
-	// ExplainTrigger, if non-nil, is consulted at the top of every collection
-	// to stamp the record with the mutator-side story behind the Reason
-	// (occupancy, allocation rate, dominant thread). The runtime installs it;
-	// when nil the cost is a single nil-check per cycle.
-	ExplainTrigger func(reason Reason) Trigger
+	// Observers are notified at both ends of every collection, in list
+	// order. The runtime fills the list once, when it is built.
+	Observers []Observer
 
 	gcCount uint64
 	stats   Stats
@@ -133,11 +122,7 @@ type Collector struct {
 // dispatch, which is exactly the paper's "Infrastructure" configuration
 // before any assertions are added.
 func New(space *heap.Space, roots RootScanner, hooks Hooks, infra bool) *Collector {
-	c := &Collector{space: space, roots: roots, hooks: hooks, infra: infra}
-	if ch, ok := hooks.(CostHooks); ok {
-		c.costHooks = ch
-	}
-	return c
+	return &Collector{space: space, roots: roots, hooks: hooks, infra: infra}
 }
 
 // Space returns the collector's heap.
@@ -162,68 +147,47 @@ func (c *Collector) SetRequestTag(tag uint64) { c.requestTag = tag }
 func (c *Collector) Collect(reason Reason) Collection {
 	start := time.Now()
 	col := Collection{Seq: c.gcCount, Reason: reason, Start: start, Request: c.requestTag}
-	if c.ExplainTrigger != nil {
-		col.Trigger = c.ExplainTrigger(reason)
-	}
-	obs := c.Observer
-	if obs != nil {
-		obs.GCBegin(c.gcCount, reason)
+	for _, o := range c.Observers {
+		o.GCBegin(&col)
 	}
 
-	if c.infra && c.hooks != nil {
-		if obs != nil {
-			obs.PhaseBegin(PhaseOwnership)
-		}
-		t0 := time.Now()
+	hooked := c.infra && c.hooks != nil
+	if hooked {
+		col.PhaseStart[PhaseOwnership] = time.Now()
 		c.hooks.PreMark(c)
-		col.OwnershipTime = time.Since(t0)
-		if obs != nil {
-			obs.PhaseEnd(PhaseOwnership, col.OwnershipTime)
-		}
+		col.OwnershipTime = time.Since(col.PhaseStart[PhaseOwnership])
 	}
 
-	if obs != nil {
-		obs.PhaseBegin(PhaseMark)
-	}
-	t0 := time.Now()
+	col.PhaseStart[PhaseMark] = time.Now()
 	if c.infra {
 		c.markInfra(&col)
 	} else {
 		c.markBase(&col)
 	}
-	col.MarkTime = time.Since(t0)
-	if obs != nil {
-		obs.PhaseEnd(PhaseMark, col.MarkTime)
-	}
+	col.MarkTime = time.Since(col.PhaseStart[PhaseMark])
 
-	if c.infra && c.hooks != nil {
+	if hooked {
 		c.hooks.PostMark(c)
 	}
 
-	if obs != nil {
-		obs.PhaseBegin(PhaseSweep)
-	}
-	t0 = time.Now()
+	col.PhaseStart[PhaseSweep] = time.Now()
 	sw := c.space.Sweep()
-	col.SweepTime = time.Since(t0)
-	if obs != nil {
-		obs.PhaseEnd(PhaseSweep, col.SweepTime)
-	}
+	col.SweepTime = time.Since(col.PhaseStart[PhaseSweep])
 	col.ObjectsFreed = sw.ObjectsFreed
 	col.ObjectsLive = sw.ObjectsLive
 	col.WordsFreed = sw.WordsFreed
 	// Cost rows are harvested after the sweep, which is where the
 	// dead-verification count (heap.Stats.DeadFreed) accrues.
-	if c.infra && c.costHooks != nil {
-		col.AssertCost = c.costHooks.CollectionCosts()
+	if hooked {
+		col.AssertCost = c.hooks.CollectionCosts()
 	}
 	col.TotalTime = time.Since(start)
 
 	c.gcCount++
 	c.stats.add(col)
 	c.last = col
-	if obs != nil {
-		obs.GCEnd(&col)
+	for _, o := range c.Observers {
+		o.GCEnd(&col)
 	}
 	return col
 }

@@ -126,40 +126,6 @@ func TestCollectMatchesReachabilityOracleInfra(t *testing.T) {
 	}
 }
 
-// TestOnMarkFiresOncePerLiveObject: the census tap sees every object the
-// trace keeps, once — not once per incoming edge, not once per duplicate
-// root — in both markers.
-func TestOnMarkFiresOncePerLiveObject(t *testing.T) {
-	for _, infra := range []bool{false, true} {
-		name := "Base"
-		if infra {
-			name = "Infrastructure"
-		}
-		t.Run(name, func(t *testing.T) {
-			for seed := int64(0); seed < 10; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				s, node := testWorld(t, 4<<20)
-				objs := buildRandomGraph(t, s, node, 400, rng)
-				roots := &sliceRoots{slots: []heap.Addr{objs[0], objs[100], objs[399], objs[100]}}
-				want := reachable(s, roots.slots)
-
-				c := New(s, roots, nil, infra)
-				seen := map[heap.Addr]int{}
-				c.OnMark = func(a heap.Addr) { seen[a]++ }
-				c.Collect("test")
-				if len(seen) != len(want) {
-					t.Fatalf("seed %d: OnMark saw %d objects, oracle says %d", seed, len(seen), len(want))
-				}
-				for a, n := range seen {
-					if n != 1 || !want[a] {
-						t.Fatalf("seed %d: OnMark saw %v %d times (reachable=%v)", seed, a, n, want[a])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestBaseAndInfraIdenticalLiveSets is the property that infrastructure mode
 // is semantically transparent: both traces keep exactly the same objects.
 func TestBaseAndInfraIdenticalLiveSets(t *testing.T) {
@@ -193,8 +159,9 @@ type recordingHooks struct {
 	collector *Collector
 }
 
-func (h *recordingHooks) PreMark(c *Collector)  { h.pre++ }
-func (h *recordingHooks) PostMark(c *Collector) { h.post++ }
+func (h *recordingHooks) PreMark(c *Collector)          { h.pre++ }
+func (h *recordingHooks) PostMark(c *Collector)         { h.post++ }
+func (h *recordingHooks) CollectionCosts() []AssertCost { return nil }
 func (h *recordingHooks) WantAllFirstMarks() bool {
 	return h.wantAll
 }

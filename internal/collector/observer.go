@@ -1,7 +1,5 @@
 package collector
 
-import "time"
-
 // Reason is a stable label recording why a collection ran. It is a string
 // type so ad-hoc reasons (tests, tools) still work, but all runtime-
 // triggered collections use the typed constants below so telemetry labels
@@ -29,6 +27,8 @@ const (
 	PhaseMark
 	// PhaseSweep is the heap sweep.
 	PhaseSweep
+
+	numPhases = 3
 )
 
 func (p Phase) String() string {
@@ -44,53 +44,18 @@ func (p Phase) String() string {
 	}
 }
 
-// Observer receives collection-lifecycle notifications. It is the
-// collector's telemetry tap: when nil (the default) the only cost is one
-// nil-check per phase — nothing is added to the per-object mark path, so
-// Base-mode tracing is unperturbed.
+// Observer is notified at both ends of every collection. Everything an
+// observer needs about the cycle is on the record: phase windows, per-kind
+// costs, the trigger. Nothing is added to the mark loop.
 //
-// All methods run inside the stop-the-world collection on the runtime's
-// goroutine; implementations must not touch the managed heap.
+// Both methods run inside the stop-the-world collection on the runtime's
+// goroutine; implementations must not allocate on or write to the managed
+// heap.
 type Observer interface {
-	// GCBegin runs first, before any phase.
-	GCBegin(seq uint64, reason Reason)
-	// PhaseBegin runs immediately before the phase's work starts.
-	PhaseBegin(p Phase)
-	// PhaseEnd runs after the phase completes; d is the measured duration
-	// (identical to the value recorded in the Collection).
-	PhaseEnd(p Phase, d time.Duration)
-	// GCEnd receives the completed record after stats are accumulated.
+	// GCBegin runs before any phase, with the record being built: Seq,
+	// Reason, Start and Request are set. It may stamp the record.
+	GCBegin(col *Collection)
+	// GCEnd runs after the sweep, with the completed record. Every object
+	// still allocated then is a survivor of the cycle.
 	GCEnd(col *Collection)
-}
-
-// TeeObserver fans every callback out to multiple observers, in order. The
-// runtime uses it when both telemetry and heap introspection are enabled.
-type TeeObserver []Observer
-
-// GCBegin implements Observer.
-func (t TeeObserver) GCBegin(seq uint64, reason Reason) {
-	for _, o := range t {
-		o.GCBegin(seq, reason)
-	}
-}
-
-// PhaseBegin implements Observer.
-func (t TeeObserver) PhaseBegin(p Phase) {
-	for _, o := range t {
-		o.PhaseBegin(p)
-	}
-}
-
-// PhaseEnd implements Observer.
-func (t TeeObserver) PhaseEnd(p Phase, d time.Duration) {
-	for _, o := range t {
-		o.PhaseEnd(p, d)
-	}
-}
-
-// GCEnd implements Observer.
-func (t TeeObserver) GCEnd(col *Collection) {
-	for _, o := range t {
-		o.GCEnd(col)
-	}
 }

@@ -26,18 +26,6 @@ type AssertCost struct {
 	Ns int64
 }
 
-// CostHooks is an optional extension of Hooks implemented by engines that
-// attribute per-assertion-kind cost. The collector caches the type assertion
-// at construction, so a cycle with attribution disabled pays one nil-check.
-type CostHooks interface {
-	Hooks
-	// CollectionCosts returns the per-kind cost rows for the collection that
-	// just finished sweeping (dead-verification counts accrue during sweep),
-	// or nil when attribution is disabled. The returned slice is owned by the
-	// caller.
-	CollectionCosts() []AssertCost
-}
-
 // Trigger explains why a collection ran, for operators: the mechanical
 // Reason plus the heap pressure behind it and the mutator that applied it.
 type Trigger struct {
@@ -70,6 +58,9 @@ type Collection struct {
 	Reason Reason
 	// Start is when the pause began; the pause is [Start, Start+TotalTime].
 	Start time.Time
+	// PhaseStart is when each phase began, indexed by Phase; zero for a phase
+	// the cycle skipped. Read it through PhaseSpan.
+	PhaseStart [numPhases]time.Time
 	// OwnershipTime is the time spent in the assertion engine's ownership
 	// pre-phase (zero in Base mode or with no ownership assertions).
 	OwnershipTime time.Duration
@@ -91,8 +82,8 @@ type Collection struct {
 	// AssertCost attributes the cycle's assertion work per kind; nil unless
 	// the engine has cost attribution enabled (Options.CostAttribution).
 	AssertCost []AssertCost
-	// Trigger explains why the collection ran; zero unless the runtime
-	// installed a trigger explainer (Collector.ExplainTrigger).
+	// Trigger explains why the collection ran; zero unless an observer
+	// stamped it in GCBegin (the runtime's pressure tracker).
 	Trigger Trigger
 	// Request is the request tag active when the collection began (set via
 	// Collector.SetRequestTag by the tracing layer; 0 otherwise). It is
@@ -100,6 +91,26 @@ type Collection struct {
 	// names the request the pause actually interrupted, a property that
 	// stays correct when marking goes concurrent.
 	Request uint64
+}
+
+// PhaseSpan returns when phase p began and how long it ran; ok is false for
+// a phase the cycle skipped (the ownership pre-phase outside Infrastructure
+// mode). The start is an offset on Start's clock, so every span lies inside
+// the pause window [Start, Start+TotalTime], in phase order.
+func (c *Collection) PhaseSpan(p Phase) (start time.Time, d time.Duration, ok bool) {
+	at := c.PhaseStart[p]
+	if at.IsZero() {
+		return time.Time{}, 0, false
+	}
+	switch p {
+	case PhaseOwnership:
+		d = c.OwnershipTime
+	case PhaseMark:
+		d = c.MarkTime
+	default:
+		d = c.SweepTime
+	}
+	return c.Start.Add(at.Sub(c.Start)), d, true
 }
 
 func (c Collection) String() string {

@@ -18,9 +18,6 @@ func (c *Collector) markBase(col *Collection) {
 		if a != heap.Nil && !c.space.Marked(a) {
 			c.space.SetMark(a)
 			col.ObjectsMarked++
-			if c.OnMark != nil {
-				c.OnMark(a)
-			}
 			c.stack = append(c.stack, a)
 		}
 		col.RootsScanned++
@@ -37,9 +34,6 @@ func (c *Collector) visitBase(slot int, t heap.Addr) {
 	if !c.space.Marked(t) {
 		c.space.SetMark(t)
 		c.col.ObjectsMarked++
-		if c.OnMark != nil {
-			c.OnMark(t)
-		}
 		c.stack = append(c.stack, t)
 	}
 }
@@ -75,9 +69,6 @@ func (c *Collector) markInfra(col *Collection) {
 		}
 		c.space.SetMark(a)
 		col.ObjectsMarked++
-		if c.OnMark != nil {
-			c.OnMark(a)
-		}
 		c.stack = append(c.stack, a)
 		c.drainInfra(col)
 	})
@@ -118,9 +109,6 @@ func (c *Collector) visitInfra(slot int, t heap.Addr) {
 	if !marked {
 		c.space.SetMark(t)
 		c.col.ObjectsMarked++
-		if c.OnMark != nil {
-			c.OnMark(t)
-		}
 		c.stack = append(c.stack, t)
 	}
 }

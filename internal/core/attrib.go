@@ -23,12 +23,30 @@ import (
 
 // costState is the per-collection attribution scratch, reset in PreMark.
 type costState struct {
-	// statsAt is the engine-stats snapshot taken at PreMark; CollectionCosts
-	// diffs against it after the sweep (dead verification accrues in the
-	// sweep itself).
-	statsAt Stats
 	// ns accumulates per-kind slow-path time for the current cycle.
 	ns [NumKinds]int64
+}
+
+// KindActivity is one assertion kind's work in one collection: checks in the
+// kind's natural unit (see CheckDeltas) and violations reported.
+type KindActivity struct {
+	Checks     uint64
+	Violations uint64
+}
+
+// LastCycle returns each kind's activity since the most recent PreMark: the
+// collection in progress or, after its sweep and until the next collection,
+// the one that just finished (dead verification accrues in the sweep). Cost
+// attribution, the telemetry sink and the flight recorder all read this one
+// window.
+func (e *Engine) LastCycle() [NumKinds]KindActivity {
+	now := e.Stats()
+	checks := CheckDeltas(e.cycleAt, now)
+	var out [NumKinds]KindActivity
+	for k := range out {
+		out[k] = KindActivity{Checks: checks[k], Violations: now.ViolationsByKind[k] - e.cycleAt.ViolationsByKind[k]}
+	}
+	return out
 }
 
 // EnableCostAttribution turns per-kind cost accounting on. Mirroring the
@@ -43,29 +61,20 @@ func (e *Engine) EnableCostAttribution() {
 // CostAttributionEnabled reports whether attribution is on.
 func (e *Engine) CostAttributionEnabled() bool { return e.costs != nil }
 
-var _ collector.CostHooks = (*Engine)(nil)
-
-// CollectionCosts implements collector.CostHooks: the per-kind cost rows of
-// the collection that just finished sweeping, or nil when attribution is
+// CollectionCosts implements collector.Hooks: the per-kind cost rows of the
+// collection that just finished sweeping, or nil when attribution is
 // disabled. The collector stamps the rows onto the Collection record.
 func (e *Engine) CollectionCosts() []collector.AssertCost {
 	cs := e.costs
 	if cs == nil {
 		return nil
 	}
-	checks := CheckDeltas(cs.statsAt, e.Stats())
-	names := KindNames()
+	act := e.LastCycle()
 	out := make([]collector.AssertCost, NumKinds)
-	for k := 0; k < NumKinds; k++ {
-		out[k] = collector.AssertCost{Kind: names[k], Checks: checks[k], Ns: cs.ns[k]}
+	for k := range out {
+		out[k] = collector.AssertCost{Kind: Kind(k).String(), Checks: act[k].Checks, Ns: cs.ns[k]}
 	}
 	return out
-}
-
-// costReset starts a new cycle's attribution window (called from PreMark).
-func (cs *costState) reset(now Stats) {
-	cs.statsAt = now
-	cs.ns = [NumKinds]int64{}
 }
 
 // addSince folds one timed slow-path block into a kind's bucket.
@@ -79,9 +88,8 @@ func (cs *costState) addSince(k Kind, t0 time.Time) {
 // limit comparisons, unshared = re-encounters of unshared-flagged objects,
 // ownedby = ownee membership checks in the ownership phase.
 // Improper-ownership has no separate check step (it is detected during
-// ownedby checking), so its row stays zero. Shared by telemetry events, the
-// flight recorder, and CollectionCosts so the unit definitions can never
-// drift apart.
+// ownedby checking), so its row stays zero. It is the one definition of
+// each kind's unit: LastCycle, and through it every per-cycle view, uses it.
 func CheckDeltas(before, after Stats) [NumKinds]uint64 {
 	return [NumKinds]uint64{
 		KindDead: (after.DeadVerified + after.DeadViolations) -

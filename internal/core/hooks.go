@@ -9,13 +9,14 @@ import (
 )
 
 // PreMark implements collector.Hooks: it synchronizes the per-type tables
-// with the registry and runs the ownership phase (ownership.go). With cost
-// attribution on it also opens the cycle's attribution window and bills the
+// with the registry, opens the cycle's activity window (LastCycle) and runs
+// the ownership phase (ownership.go). With cost attribution on it bills the
 // whole ownership pre-phase to assert-ownedby.
 func (e *Engine) PreMark(c *collector.Collector) {
 	e.growTypeTables()
+	e.cycleAt = e.Stats()
 	if cs := e.costs; cs != nil {
-		cs.reset(e.Stats())
+		cs.ns = [NumKinds]int64{}
 		t0 := time.Now()
 		e.ownershipPhase(c)
 		cs.addSince(KindOwnedBy, t0)

@@ -39,16 +39,6 @@ const (
 // NumKinds is the number of assertion kinds.
 const NumKinds = numKinds
 
-// KindNames returns the stable label of every assertion kind, indexed by
-// Kind value. Telemetry uses these as metric labels.
-func KindNames() []string {
-	out := make([]string, numKinds)
-	for k := Kind(0); k < numKinds; k++ {
-		out[k] = k.String()
-	}
-	return out
-}
-
 func (k Kind) String() string {
 	switch k {
 	case KindDead:

@@ -128,14 +128,8 @@ func (e *Exporter) NoteViolation() { e.violLatch.Store(true) }
 
 var _ collector.Observer = (*Exporter)(nil)
 
-// GCBegin implements collector.Observer (no-op).
-func (e *Exporter) GCBegin(seq uint64, reason collector.Reason) {}
-
-// PhaseBegin implements collector.Observer (no-op).
-func (e *Exporter) PhaseBegin(p collector.Phase) {}
-
-// PhaseEnd implements collector.Observer (no-op).
-func (e *Exporter) PhaseEnd(p collector.Phase, d time.Duration) {}
+// GCBegin implements collector.Observer; the exporter acts in GCEnd.
+func (e *Exporter) GCBegin(*collector.Collection) {}
 
 // GCEnd implements collector.Observer: decide whether this cycle exports,
 // seal the envelopes, and hand them to the sender.

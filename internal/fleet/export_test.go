@@ -52,7 +52,6 @@ func TestExporterIntervalExport(t *testing.T) {
 		Identity:    version.NewIdentity("replica-a"),
 		RegistryRef: "reg1-export-test",
 	})
-	defer exp.Close()
 	exp.SetCensusSource(census.latest)
 
 	// Collections 0 and 2 change the heap, 1 does not; every=2 exports
@@ -63,6 +62,9 @@ func TestExporterIntervalExport(t *testing.T) {
 		exp.GCEnd(&collector.Collection{Seq: seq})
 	}
 	waitForStore(t, srv.Store(), 2)
+	// The store holds an envelope before the sender has counted it as sent;
+	// Close waits for the sender to finish.
+	exp.Close()
 
 	st := exp.Stats()
 	if st.Enqueued != 2 || st.Sent != 2 || st.Errors != 0 {

@@ -140,18 +140,16 @@ type Recorder struct {
 	identity *version.Identity
 
 	// Sources, installed once at wiring time (before the first collection).
-	statsFn   func() core.Stats
-	censusFn  func() (heapdump.Snapshot, bool)
-	profileFn func() []SiteSample
-	dumpFn    func() (io.WriteCloser, error)
+	activityFn func() [core.NumKinds]core.KindActivity
+	censusFn   func() (heapdump.Snapshot, bool)
+	profileFn  func() []SiteSample
+	dumpFn     func() (io.WriteCloser, error)
 
-	// Per-cycle accumulation; touched only inside stop-the-world collections
-	// on the runtime's goroutine.
-	phases       []PhaseSpan
-	engineBefore core.Stats
-	prevTypes    map[string]prevCensus
-	dumpedGC     uint64
-	dumpedAny    bool
+	// Cross-cycle state; touched only inside stop-the-world collections on
+	// the runtime's goroutine.
+	prevTypes map[string]prevCensus
+	dumpedGC  uint64
+	dumpedAny bool
 
 	// dumpReq is the deferred-dump latch: RequestDump (any goroutine, e.g. a
 	// signal handler) sets it, and GCEnd honors it once the heap is
@@ -194,9 +192,10 @@ func New(cfg Config) *Recorder {
 // Install at wiring time, before any bundle is captured.
 func (r *Recorder) SetIdentity(id version.Identity) { r.identity = &id }
 
-// SetStatsSource installs the assertion-engine stats source used to compute
-// per-kind activity deltas. Install before the first collection.
-func (r *Recorder) SetStatsSource(fn func() core.Stats) { r.statsFn = fn }
+// SetActivitySource installs the source of the per-kind assertion activity
+// of the collection that just ended (the engine's LastCycle). Install before
+// the first collection.
+func (r *Recorder) SetActivitySource(fn func() [core.NumKinds]core.KindActivity) { r.activityFn = fn }
 
 // SetCensusSource installs the census source used to compute per-type
 // census deltas; the source must already hold the current cycle's snapshot
@@ -217,41 +216,36 @@ func (r *Recorder) SetProfileSource(fn func() []SiteSample) { r.profileFn = fn }
 // propagated into the collection.
 func (r *Recorder) SetDumpSink(fn func() (io.WriteCloser, error)) { r.dumpFn = fn }
 
-// GCBegin implements collector.Observer.
-func (r *Recorder) GCBegin(seq uint64, reason collector.Reason) {
-	r.phases = make([]PhaseSpan, 0, 3)
-	if r.statsFn != nil {
-		r.engineBefore = r.statsFn()
-	}
-}
-
-// PhaseBegin implements collector.Observer (no-op; PhaseEnd carries the
-// measured duration).
-func (r *Recorder) PhaseBegin(p collector.Phase) {}
-
-// PhaseEnd implements collector.Observer.
-func (r *Recorder) PhaseEnd(p collector.Phase, d time.Duration) {
-	r.phases = append(r.phases, PhaseSpan{Phase: p.String(), DurNs: int64(d)})
-}
+// GCBegin implements collector.Observer; the recorder reads the completed
+// record in GCEnd.
+func (r *Recorder) GCBegin(*collector.Collection) {}
 
 // GCEnd implements collector.Observer: fold the completed collection into
-// the cycle ring.
+// the cycle ring. Only kinds with activity get a row.
 func (r *Recorder) GCEnd(col *collector.Collection) {
 	cy := Cycle{
 		GC:            col.Seq,
 		Reason:        string(col.Reason),
 		StartUnixNs:   col.Start.UnixNano(),
 		TotalNs:       int64(col.TotalTime),
-		Phases:        r.phases,
+		Phases:        make([]PhaseSpan, 0, 3),
 		RootsScanned:  col.RootsScanned,
 		ObjectsMarked: col.ObjectsMarked,
 		ObjectsFreed:  col.ObjectsFreed,
 		ObjectsLive:   col.ObjectsLive,
 		WordsFreed:    col.WordsFreed,
 	}
-	r.phases = nil
-	if r.statsFn != nil {
-		cy.Kinds = kindDeltas(r.engineBefore, r.statsFn())
+	for p := collector.PhaseOwnership; p <= collector.PhaseSweep; p++ {
+		if _, d, ok := col.PhaseSpan(p); ok {
+			cy.Phases = append(cy.Phases, PhaseSpan{Phase: p.String(), DurNs: int64(d)})
+		}
+	}
+	if r.activityFn != nil {
+		for k, a := range r.activityFn() {
+			if a.Checks != 0 || a.Violations != 0 {
+				cy.Kinds = append(cy.Kinds, KindDelta{Kind: core.Kind(k).String(), Checks: a.Checks, Violations: a.Violations})
+			}
+		}
 	}
 	if col.Trigger.Why != "" {
 		cy.Trigger = col.Trigger.Why
@@ -336,26 +330,6 @@ func sortDeltas(d []TypeDelta) {
 			}
 		}
 	}
-}
-
-// kindDeltas converts an engine-stats delta into per-kind activity. The
-// natural-unit mapping lives in core.CheckDeltas, shared with the telemetry
-// layer and cost attribution so the unit definitions cannot drift.
-func kindDeltas(before, after core.Stats) []KindDelta {
-	checks := core.CheckDeltas(before, after)
-	names := core.KindNames()
-	out := make([]KindDelta, 0, core.NumKinds)
-	for k := 0; k < core.NumKinds; k++ {
-		d := KindDelta{
-			Kind:       names[k],
-			Checks:     checks[k],
-			Violations: after.ViolationsByKind[k] - before.ViolationsByKind[k],
-		}
-		if d.Checks != 0 || d.Violations != 0 {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // RecordViolation appends a violation to the ring and, when a dump sink is

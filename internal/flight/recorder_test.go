@@ -13,15 +13,22 @@ import (
 	"gcassert/internal/heapdump"
 )
 
+// record is a collection record with a 5 ms mark phase inside a 6 ms pause.
+func record(seq uint64, reason collector.Reason, live int) *collector.Collection {
+	start := time.Unix(0, int64(seq)*int64(time.Second))
+	col := &collector.Collection{
+		Seq: seq, Reason: reason, Start: start,
+		MarkTime: 5 * time.Millisecond, TotalTime: 6 * time.Millisecond, ObjectsLive: live,
+	}
+	col.PhaseStart[collector.PhaseMark] = start.Add(time.Millisecond)
+	return col
+}
+
 // playCycle drives the recorder through one synthetic collection.
 func playCycle(r *Recorder, seq uint64, live int) {
-	r.GCBegin(seq, collector.ReasonForced)
-	r.PhaseBegin(collector.PhaseMark)
-	r.PhaseEnd(collector.PhaseMark, 5*time.Millisecond)
-	r.GCEnd(&collector.Collection{
-		Seq: seq, Reason: collector.ReasonForced,
-		TotalTime: 6 * time.Millisecond, ObjectsLive: live,
-	})
+	col := record(seq, collector.ReasonForced, live)
+	r.GCBegin(col)
+	r.GCEnd(col)
 }
 
 func TestRecorderRingBounds(t *testing.T) {
@@ -53,49 +60,48 @@ func TestRecorderRingBounds(t *testing.T) {
 
 func TestRecorderCycleDetail(t *testing.T) {
 	r := New(Config{})
-	stats := core.Stats{}
-	r.SetStatsSource(func() core.Stats { return stats })
+	var act [core.NumKinds]core.KindActivity
+	r.SetActivitySource(func() [core.NumKinds]core.KindActivity { return act })
 	snap := heapdump.Snapshot{}
 	r.SetCensusSource(func() (heapdump.Snapshot, bool) { return snap, true })
 
 	// Cycle 0: 5 dead checks, 1 violation; census grows by 3 Nodes.
-	r.GCBegin(0, collector.ReasonAllocFailure)
-	stats.DeadVerified = 4
-	stats.DeadViolations = 1
-	stats.ViolationsByKind[core.KindDead] = 1
+	col := record(0, collector.ReasonAllocFailure, 3)
+	col.PhaseStart[collector.PhaseOwnership] = col.Start
+	col.OwnershipTime = time.Millisecond
+	r.GCBegin(col)
+	act[core.KindDead] = core.KindActivity{Checks: 5, Violations: 1}
 	snap = heapdump.Snapshot{GC: 0, Types: []heapdump.TypeCensus{
 		{TypeName: "Node", Objects: 3, Words: 12},
 	}}
-	r.PhaseBegin(collector.PhaseMark)
-	r.PhaseEnd(collector.PhaseMark, time.Millisecond)
-	r.GCEnd(&collector.Collection{Seq: 0, Reason: collector.ReasonAllocFailure})
+	r.GCEnd(col)
 
 	cy := r.Cycles()[0]
-	if len(cy.Phases) != 1 || cy.Phases[0].Phase != collector.PhaseMark.String() {
-		t.Errorf("Phases = %+v", cy.Phases)
+	want := []PhaseSpan{{Phase: "ownership", DurNs: 1e6}, {Phase: "mark", DurNs: 5e6}}
+	if fmt.Sprint(cy.Phases) != fmt.Sprint(want) {
+		t.Errorf("Phases = %+v, want %+v (the record's phases that ran, in order)", cy.Phases, want)
 	}
-	var dead *KindDelta
-	for i := range cy.Kinds {
-		if cy.Kinds[i].Kind == "assert-dead" {
-			dead = &cy.Kinds[i]
-		}
-	}
-	if dead == nil || dead.Checks != 5 || dead.Violations != 1 {
-		t.Errorf("assert-dead delta = %+v", dead)
+	if len(cy.Kinds) != 1 || cy.Kinds[0] != (KindDelta{Kind: "assert-dead", Checks: 5, Violations: 1}) {
+		t.Errorf("Kinds = %+v, want the one active kind", cy.Kinds)
 	}
 	if len(cy.CensusDelta) != 1 || cy.CensusDelta[0].Objects != 3 || cy.CensusDelta[0].Words != 12 {
 		t.Errorf("CensusDelta = %+v", cy.CensusDelta)
 	}
 
 	// Cycle 1: Node shrinks to 1 object; the delta must go negative.
-	r.GCBegin(1, collector.ReasonForced)
+	col = record(1, collector.ReasonForced, 1)
+	r.GCBegin(col)
+	act = [core.NumKinds]core.KindActivity{}
 	snap = heapdump.Snapshot{GC: 1, Types: []heapdump.TypeCensus{
 		{TypeName: "Node", Objects: 1, Words: 4},
 	}}
-	r.GCEnd(&collector.Collection{Seq: 1, Reason: collector.ReasonForced})
+	r.GCEnd(col)
 	cy = r.Cycles()[1]
 	if len(cy.CensusDelta) != 1 || cy.CensusDelta[0].Objects != -2 || cy.CensusDelta[0].Words != -8 {
 		t.Errorf("shrinking CensusDelta = %+v", cy.CensusDelta)
+	}
+	if len(cy.Kinds) != 0 {
+		t.Errorf("Kinds = %+v for a cycle without assertion activity", cy.Kinds)
 	}
 }
 

@@ -1,15 +1,15 @@
-// Package heapdump is the heap-introspection layer: it piggybacks a
-// per-type census on the collector's mark phase (one callback per marked
-// object — the tracer already visits every live object, so the census rides
-// the same "nearly free" budget the paper claims for assertion checks),
-// retains a bounded ring of per-GC snapshots, diffs them into Cork-style
-// leak-suspect rankings, and computes dominator trees / retained sizes over
-// an on-demand graph capture.
+// Package heapdump is the heap-introspection layer: it takes a per-type
+// census at the end of every collection (a walk of the allocation bitmaps
+// after the sweep, when every allocated object is a survivor — the heap's
+// own record of the live set, so the census needs no hook in the mark
+// loop), retains a bounded ring of per-GC snapshots, diffs them into
+// Cork-style leak-suspect rankings, and computes dominator trees / retained
+// sizes over an on-demand graph capture.
 //
 // The package answers the question PR 1's telemetry could not: not *when*
 // the GC ran, but *what the heap looked like* each time it did.
 //
-// Concurrency: census accumulation runs inside stop-the-world collections on
+// Concurrency: the census walk runs inside stop-the-world collections on
 // the runtime's goroutine; the snapshot ring is mutex-guarded so HTTP
 // scrapers may read Snapshots/Latest/Suspects while the workload runs.
 // Dominator analysis walks the managed heap and must only run while the
@@ -50,7 +50,7 @@ type TypeCensus struct {
 	// Type and TypeName identify the type.
 	Type     heap.TypeID `json:"type"`
 	TypeName string      `json:"type_name"`
-	// Objects is the number of live instances marked this cycle.
+	// Objects is the number of instances that survived this cycle.
 	Objects uint64 `json:"objects"`
 	// Words is their total payload size in heap words (headers included);
 	// CellWords the allocator footprint (size-class cells / block spans) —
@@ -120,10 +120,12 @@ type Config struct {
 	Ring int
 }
 
-// Census accumulates the per-type live census during each mark phase and
-// snapshots it at the end of every collection. It implements
-// collector.Observer for the GC lifecycle; the per-object half is Observe,
-// installed as the collector's OnMark callback.
+// Census counts the live heap per type at the end of every collection and
+// keeps the snapshots in a ring. It implements collector.Observer: GCEnd
+// walks the allocation bitmaps after the sweep, so the census is the live
+// set by construction — objects the ownership pre-phase marked included,
+// which a count taken in the trace would miss (the trace skips them as
+// already marked).
 type Census struct {
 	space *heap.Space
 
@@ -134,12 +136,9 @@ type Census struct {
 	cellWords []uint64
 	hist      [][NumSizeBuckets]uint32
 	// sites accumulates per-(type, site) rows, keyed TypeID<<32 | SiteID.
-	// It stays nil until the space has provenance enabled, so the
-	// provenance-off mark path pays exactly one nil-check here.
-	sites  map[uint64]*siteTotals
-	active bool
-	seq    uint64
-	reason collector.Reason
+	// It stays nil unless the space has provenance enabled, so the
+	// provenance-off walk pays exactly one nil-check per object here.
+	sites map[uint64]*siteTotals
 
 	// onSnapshot, if set, runs after each snapshot is recorded (still inside
 	// the collection) — the runtime uses it to publish census gauges.
@@ -173,13 +172,9 @@ func (c *Census) SetOnSnapshot(fn func(*Snapshot)) { c.onSnapshot = fn }
 // documents. Install at wiring time.
 func (c *Census) SetIdentity(id version.Identity) { c.identity = &id }
 
-// Observe accounts one marked object. It is installed as the collector's
-// OnMark callback and runs once per live object per collection.
-func (c *Census) Observe(a heap.Addr) {
+// observe accounts one surviving object.
+func (c *Census) observe(a heap.Addr) bool {
 	t := c.space.TypeOf(a)
-	if int(t) >= len(c.objects) {
-		c.grow()
-	}
 	sz := c.space.Registry().Info(t).SizeWords(c.space.ArrayLen(a))
 	c.objects[t]++
 	c.words[t] += uint64(sz)
@@ -195,6 +190,7 @@ func (c *Census) Observe(a heap.Addr) {
 		e.objects++
 		e.words += uint64(sz)
 	}
+	return true
 }
 
 // siteTotals is one (type, site) accumulation cell.
@@ -204,7 +200,7 @@ type siteTotals struct {
 }
 
 // grow extends the accumulation arrays to cover every registered type (types
-// may be defined between collections).
+// may be defined between collections, never during one).
 func (c *Census) grow() {
 	n := c.space.Registry().NumTypes()
 	for len(c.objects) < n {
@@ -215,8 +211,12 @@ func (c *Census) grow() {
 	}
 }
 
-// GCBegin implements collector.Observer: reset the accumulation arrays.
-func (c *Census) GCBegin(seq uint64, reason collector.Reason) {
+// GCBegin implements collector.Observer; the census is taken in GCEnd.
+func (c *Census) GCBegin(*collector.Collection) {}
+
+// GCEnd implements collector.Observer: count every allocated object — after
+// the sweep, exactly the cycle's survivors — and record the snapshot.
+func (c *Census) GCEnd(col *collector.Collection) {
 	c.grow()
 	for i := range c.objects {
 		c.objects[i] = 0
@@ -231,26 +231,8 @@ func (c *Census) GCBegin(seq uint64, reason collector.Reason) {
 	} else {
 		c.sites = nil
 	}
-	c.active = true
-	c.seq = seq
-	c.reason = reason
-}
-
-// PhaseBegin implements collector.Observer (no-op).
-func (c *Census) PhaseBegin(p collector.Phase) {}
-
-// PhaseEnd implements collector.Observer (no-op).
-func (c *Census) PhaseEnd(p collector.Phase, d time.Duration) {}
-
-// GCEnd implements collector.Observer: snapshot the accumulated census into
-// the ring. After the sweep the marked set is exactly the live set, so the
-// snapshot is the live heap at the end of the cycle.
-func (c *Census) GCEnd(col *collector.Collection) {
-	if !c.active {
-		return
-	}
-	c.active = false
-	snap := c.buildSnapshot()
+	c.space.ForEachObject(c.observe)
+	snap := c.buildSnapshot(col)
 	c.mu.Lock()
 	if len(c.ring) < cap(c.ring) {
 		c.ring = append(c.ring, snap)
@@ -268,9 +250,9 @@ func (c *Census) GCEnd(col *collector.Collection) {
 
 // buildSnapshot renders the accumulation arrays into a Snapshot, rows sorted
 // by payload words descending (name ascending on ties) for stable display.
-func (c *Census) buildSnapshot() Snapshot {
+func (c *Census) buildSnapshot(col *collector.Collection) Snapshot {
 	reg := c.space.Registry()
-	snap := Snapshot{GC: c.seq, Reason: string(c.reason), UnixNs: time.Now().UnixNano()}
+	snap := Snapshot{GC: col.Seq, Reason: string(col.Reason), UnixNs: time.Now().UnixNano()}
 	for t := range c.objects {
 		if c.objects[t] == 0 {
 			continue

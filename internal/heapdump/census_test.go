@@ -21,8 +21,7 @@ func (r *sliceRoots) Roots(yield func(collector.Root)) {
 }
 
 // world builds a space with a two-ref node type and a leaf type, a collector
-// over slice roots, and a census wired in the same way the runtime wires it:
-// Observer for the lifecycle, OnMark for the per-object callback.
+// over slice roots, and a census wired as the collector's one observer.
 func world(t testing.TB, ring int) (*heap.Space, heap.TypeID, heap.TypeID, *sliceRoots, *collector.Collector, *heapdump.Census) {
 	t.Helper()
 	reg := heap.NewRegistry()
@@ -32,8 +31,7 @@ func world(t testing.TB, ring int) (*heap.Space, heap.TypeID, heap.TypeID, *slic
 	roots := &sliceRoots{}
 	c := collector.New(s, roots, nil, false)
 	census := heapdump.NewCensus(s, heapdump.Config{Ring: ring})
-	c.Observer = census
-	c.OnMark = census.Observe
+	c.Observers = []collector.Observer{census}
 	return s, node, leaf, roots, c, census
 }
 

@@ -24,7 +24,6 @@ func (r *Runtime) initFleet(cfg Config) {
 		fx.SetBundleSource(r.flight.Bundle)
 	}
 	r.fleetx = fx
-	r.observe(fx)
 }
 
 // Identity returns the instance identity stamped on exported artifacts

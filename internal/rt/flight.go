@@ -8,18 +8,16 @@ import (
 	"gcassert/internal/heap"
 )
 
-// initFlight wires the flight recorder into the collector's observer chain
-// and installs its data sources.
+// initFlight installs the flight recorder's data sources.
 func (r *Runtime) initFlight() {
 	fr := r.flight
 	if r.engine != nil {
-		fr.SetStatsSource(r.engine.Stats)
+		fr.SetActivitySource(r.engine.LastCycle)
 	}
 	if r.census != nil {
 		fr.SetCensusSource(r.census.Latest)
 	}
 	fr.SetProfileSource(r.siteProfile)
-	r.observe(fr)
 }
 
 // flightViolation converts an engine violation into the flight recorder's

@@ -5,15 +5,12 @@ import (
 	"gcassert/internal/telemetry"
 )
 
-// initIntrospection wires the heap census into the collector: the Observe
-// callback on the mark hot path, the Observer lifecycle for snapshot
-// capture, and — when telemetry is also enabled — per-type census gauges in
-// the metrics registry.
+// initIntrospection builds the heap census and — when telemetry is also
+// enabled — mirrors its snapshots into per-type gauges in the metrics
+// registry.
 func (r *Runtime) initIntrospection(cfg Config) {
 	census := heapdump.NewCensus(r.space, heapdump.Config{Ring: cfg.CensusRingSize})
 	r.census = census
-	r.gc.OnMark = census.Observe
-	r.observe(census)
 	if r.tel != nil {
 		pub := &censusPublisher{reg: r.tel.Registry()}
 		census.SetOnSnapshot(pub.publish)

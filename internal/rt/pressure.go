@@ -10,10 +10,11 @@ import (
 
 // Mutator-side heap-pressure accounting and the trigger explainer. Enabled
 // by Config.CostAttribution; disabled (the default) the allocation path pays
-// one nil-check and collections pay one nil-check for the explainer hook.
+// one nil-check and the collector's observer list has no pressure tracker.
 //
-// The explainer runs at the top of every collection, inside the
-// stop-the-world pause, and answers the operator question the raw Reason
+// The tracker is the collector's first observer: its GCBegin runs at the
+// top of every collection, inside the stop-the-world pause, and answers the
+// operator question the raw Reason
 // label cannot: *why now, and who did it* — occupancy at trigger time, the
 // allocation-rate EWMA over recent inter-GC windows, and the dominant
 // allocating thread (and site, when provenance is on) since the previous
@@ -81,11 +82,11 @@ type pressure struct {
 
 func newPressure(r *Runtime) *pressure { return &pressure{r: r} }
 
-// explain implements collector.ExplainTrigger. It samples occupancy, rolls
-// the allocation-rate EWMA over the window since the previous trigger,
-// appends to the occupancy timeline, and names the dominant allocating
-// thread (and site, with provenance) of the window.
-func (p *pressure) explain(reason collector.Reason) collector.Trigger {
+// GCBegin implements collector.Observer: it stamps the record's Trigger. It
+// samples occupancy, rolls the allocation-rate EWMA over the window since
+// the previous trigger, appends to the occupancy timeline, and names the
+// dominant allocating thread (and site, with provenance) of the window.
+func (p *pressure) GCBegin(col *collector.Collection) {
 	r := p.r
 	now := time.Now().UnixNano()
 	occ := r.space.OccupancyPct()
@@ -142,9 +143,12 @@ func (p *pressure) explain(reason collector.Reason) collector.Trigger {
 		p.siteNow, p.sitePrev = p.sitePrev, p.siteNow
 	}
 
-	tr.Why = why(reason, occ)
-	return tr
+	tr.Why = why(col.Reason, occ)
+	col.Trigger = tr
 }
+
+// GCEnd implements collector.Observer; the tracker's work is done in GCBegin.
+func (p *pressure) GCEnd(*collector.Collection) {}
 
 // why renders the one-line explanation for the reason, in trigger-cause
 // terms rather than mechanism terms.

@@ -1,10 +1,16 @@
 package rt
 
 import (
+	"bytes"
+	"fmt"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"gcassert/internal/collector"
 	"gcassert/internal/core"
+	"gcassert/internal/fleet"
 	"gcassert/internal/heap"
 )
 
@@ -105,11 +111,14 @@ func TestFrameResize(t *testing.T) {
 
 // TestTelemetryEventWindowIsThePause: a GC event's [StartUnixNs,
 // StartUnixNs+TotalNs] is the collection's own pause window, which lies
-// between clock reads taken around Collect. The trigger explainer runs
-// before any observer callback, so a window stamped from the observer's own
-// clock would start late and end after the pause did.
+// between clock reads taken around Collect. The pressure tracker runs
+// before any other observer, so a window stamped from an observer's own
+// clock would start late and end after the pause did. Every phase span is
+// the collector's own window too: inside the pause, in phase order, no
+// overlap, and as long as the record's phase time — in the event and in the
+// flight recorder's cycle alike.
 func TestTelemetryEventWindowIsThePause(t *testing.T) {
-	r := newRT(t, Config{Infrastructure: true, Telemetry: true, CostAttribution: true})
+	r := newRT(t, Config{Infrastructure: true, Telemetry: true, CostAttribution: true, FlightRecorder: true})
 	node := r.Define("Node", heap.Field{Name: "next", Ref: true})
 	th := r.NewThread("main")
 	for round := 0; round < 5; round++ {
@@ -130,6 +139,93 @@ func TestTelemetryEventWindowIsThePause(t *testing.T) {
 			t.Fatalf("round %d: event window [%d, %d] outside the clock reads around Collect [%d, %d]",
 				round, start, end, before, after)
 		}
+
+		want := []time.Duration{col.OwnershipTime, col.MarkTime, col.SweepTime}
+		cycles := r.Flight().Cycles()
+		cy := cycles[len(cycles)-1]
+		if len(ev.Phases) != len(want) || len(cy.Phases) != len(want) {
+			t.Fatalf("round %d: event has %d phases, flight cycle %d, want %d", round, len(ev.Phases), len(cy.Phases), len(want))
+		}
+		prevEnd := start
+		for i, p := range ev.Phases {
+			if p.Phase != collector.Phase(i).String() || p.DurNs != int64(want[i]) {
+				t.Fatalf("round %d: phase %d is %s for %d ns, the record says %s for %d ns",
+					round, i, p.Phase, p.DurNs, collector.Phase(i), int64(want[i]))
+			}
+			if p.StartUnixNs < prevEnd || p.StartUnixNs+p.DurNs > end {
+				t.Fatalf("round %d: %s span [%d, +%d] overlaps the previous phase (ended %d) or leaves the pause [%d, %d]",
+					round, p.Phase, p.StartUnixNs, p.DurNs, prevEnd, start, end)
+			}
+			prevEnd = p.StartUnixNs + p.DurNs
+			if fp := cy.Phases[i]; fp.Phase != p.Phase || fp.DurNs != p.DurNs {
+				t.Fatalf("round %d: flight phase %d is %s for %d ns, the event's %s for %d ns", round, i, fp.Phase, fp.DurNs, p.Phase, p.DurNs)
+			}
+		}
+	}
+}
+
+// TestEveryViolationSinkSeesItOnce: with every violation sink on, one
+// planted violation reaches the caller's Reporter, the log writer, the
+// telemetry violation log, the flight recorder's ring and the fleet
+// exporter's latch exactly once each, and the exporter ships a flight
+// bundle for it. It also pins the collector's observer list and its order.
+func TestEveryViolationSinkSeesItOnce(t *testing.T) {
+	store, err := fleet.OpenStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(fleet.NewServer(store).Handler())
+	defer srv.Close()
+	rep := &core.CollectingReporter{}
+	var log bytes.Buffer
+	r := newRT(t, Config{
+		Infrastructure: true, Reporter: rep, LogWriter: &log,
+		Telemetry: true, FlightRecorder: true, CostAttribution: true, Introspection: true,
+		FleetURL: srv.URL, FleetEvery: 1000,
+	})
+
+	var order []string
+	for _, o := range r.gc.Observers {
+		order = append(order, fmt.Sprintf("%T", o))
+	}
+	want := "[*rt.pressure *rt.telemetrySink *heapdump.Census *flight.Recorder *fleet.Exporter]"
+	if got := fmt.Sprint(order); got != want {
+		t.Fatalf("observers = %s, want %s", got, want)
+	}
+
+	node := r.Define("Node", heap.Field{Name: "next", Ref: true})
+	th := r.NewThread("main")
+	fr := th.Push(1)
+	a := th.New(node)
+	fr.Set(0, a)
+	r.AssertDead(a)
+	r.Collect()
+	r.Collect() // a second cycle must not re-deliver or re-ship
+	r.CloseFleet()
+
+	if rep.Len() != 1 {
+		t.Fatalf("Reporter saw %d violations, want 1", rep.Len())
+	}
+	if n := strings.Count(log.String(), rep.Violations()[0].String()); n != 1 {
+		t.Errorf("log writer printed the violation %d times, want 1", n)
+	}
+	if _, total := r.Telemetry().Violations(); total != 1 {
+		t.Errorf("telemetry logged %d violations, want 1", total)
+	}
+	if n := r.Flight().Stats().ViolationsRecorded; n != 1 {
+		t.Errorf("flight recorder holds %d violations, want 1", n)
+	}
+	if n := r.Engine().Stats().Violations; n != 1 {
+		t.Errorf("engine counted %d violations, want 1", n)
+	}
+	var flights int
+	for _, m := range store.List() {
+		if m.Kind == fleet.KindFlight {
+			flights++
+		}
+	}
+	if flights != 1 {
+		t.Errorf("fleet store holds %d flight bundles, want 1 (exporter stats %+v)", flights, r.FleetExporter().Stats())
 	}
 }
 

@@ -49,8 +49,9 @@ type Config struct {
 	// Telemetry enables the observability layer: a structured GC event
 	// trace, a metrics registry with a pause histogram, and (in
 	// Infrastructure mode) a violation log, all reachable through
-	// Runtime.Telemetry(). Disabled, the collector pays one nil-check per
-	// phase and the mark hot path is untouched.
+	// Runtime.Telemetry(). The event is built at the end of each collection
+	// from the collector's own record. Disabled, the collector's observer
+	// list holds no telemetry sink and the mark loop is the same either way.
 	Telemetry bool
 	// TelemetryRingSize bounds the retained GC event trace (default 1024).
 	TelemetryRingSize int
@@ -74,10 +75,11 @@ type Config struct {
 	// per-assertion-kind time/work accounting on every collection
 	// (Collection.AssertCost), mutator-side pressure stats (per-thread
 	// allocation counters, allocation-rate EWMA, occupancy timeline,
-	// Runtime.Pressure), and a trigger explainer stamping every collection
-	// with why it ran (Collection.Trigger). Disabled, the mark hot path is
-	// untouched, the allocation path pays one nil-check, and collections pay
-	// one nil-check for the explainer hook.
+	// Runtime.Pressure), and a pressure tracker, first in the collector's
+	// observer list, stamping every collection with why it ran
+	// (Collection.Trigger). Disabled, the mark loop is untouched, the
+	// allocation path pays one nil-check, and the engine's per-kind timers
+	// are skipped behind one nil-check each.
 	CostAttribution bool
 	// InstanceID names this runtime instance in exported artifacts (flight
 	// bundles, census documents, fleet envelopes). Empty generates a
@@ -101,11 +103,11 @@ type Config struct {
 	// replicas are nearly free to report).
 	FleetEvery int
 	// Introspection enables the heap-introspection layer: a per-type census
-	// taken during every collection's mark phase (one callback per
-	// marked object), snapshot diffing with leak-suspect ranking, and
-	// on-demand dominator/retained-size analysis, reachable through
-	// Runtime.Census(). Disabled, the mark hot path pays one nil-check per
-	// marked object and nothing else.
+	// taken at the end of every collection by walking the allocation
+	// bitmaps after the sweep, when every allocated object is a survivor,
+	// snapshot diffing with leak-suspect ranking, and on-demand
+	// dominator/retained-size analysis, reachable through Runtime.Census().
+	// Disabled, nothing runs: the mark loop is the same either way.
 	Introspection bool
 	// CensusRingSize bounds the retained census snapshots (default 64).
 	CensusRingSize int
@@ -157,62 +159,34 @@ func New(cfg Config) *Runtime {
 	}
 	var hooks collector.Hooks
 	if cfg.Infrastructure {
-		rep := cfg.Reporter
+		// Every violation reaches each sink once, in this order.
+		var reps core.TeeReporter
+		if cfg.Reporter != nil {
+			reps = append(reps, cfg.Reporter)
+		}
 		if cfg.LogWriter != nil {
-			wr := core.NewWriterReporter(cfg.LogWriter)
-			if rep != nil {
-				rep = core.TeeReporter{rep, wr}
-			} else {
-				rep = wr
-			}
+			reps = append(reps, core.NewWriterReporter(cfg.LogWriter))
 		}
 		if r.tel != nil {
-			tl := core.FuncReporter(func(v *core.Violation) { r.tel.LogViolation(v.String()) })
-			if rep != nil {
-				rep = core.TeeReporter{rep, tl}
-			} else {
-				rep = tl
-			}
+			reps = append(reps, core.FuncReporter(func(v *core.Violation) { r.tel.LogViolation(v.String()) }))
 		}
 		if r.flight != nil {
-			fl := core.FuncReporter(func(v *core.Violation) { r.flight.RecordViolation(flightViolation(v)) })
-			if rep != nil {
-				rep = core.TeeReporter{rep, fl}
-			} else {
-				rep = fl
-			}
+			reps = append(reps, core.FuncReporter(func(v *core.Violation) { r.flight.RecordViolation(flightViolation(v)) }))
 		}
 		if cfg.FleetURL != "" {
-			// Latch a violation-triggered export; the exporter (wired as an
-			// observer at the end of New) ships census + flight bundle at
-			// the end of this collection.
-			fv := core.FuncReporter(func(v *core.Violation) {
-				if r.fleetx != nil {
-					r.fleetx.NoteViolation()
-				}
-			})
-			if rep != nil {
-				rep = core.TeeReporter{rep, fv}
-			} else {
-				rep = fv
-			}
+			// Latch a violation-triggered export: the exporter ships census
+			// and flight bundle at the end of this collection.
+			reps = append(reps, core.FuncReporter(func(*core.Violation) { r.fleetx.NoteViolation() }))
 		}
-		r.engine = core.NewEngine(r.space, rep, cfg.Policy)
+		r.engine = core.NewEngine(r.space, reps, cfg.Policy)
 		hooks = r.engine
 	}
 	r.gc = collector.New(r.space, (*rootScanner)(r), hooks, cfg.Infrastructure)
-	// Observers run in the order they are added here, and one ordering is
-	// load-bearing: census before flight recorder before fleet exporter,
-	// because each reads what the one before it recorded for the cycle.
-	if r.tel != nil {
-		r.observe(newTelemetrySink(r, r.tel))
-	}
 	if cfg.CostAttribution {
 		if r.engine != nil {
 			r.engine.EnableCostAttribution()
 		}
 		r.pressure = newPressure(r)
-		r.gc.ExplainTrigger = r.pressure.explain
 	}
 	if cfg.Introspection {
 		r.initIntrospection(cfg)
@@ -240,15 +214,28 @@ func New(cfg Config) *Runtime {
 	if cfg.FleetURL != "" {
 		r.initFleet(cfg)
 	}
-	return r
-}
-
-// observe appends o to the collector's observers.
-func (r *Runtime) observe(o collector.Observer) {
-	if prev := r.gc.Observer; prev != nil {
-		o = collector.TeeObserver{prev, o}
+	// The collector notifies its observers in this order. The pressure
+	// tracker stamps the Trigger every later observer reads; census before
+	// flight recorder before fleet exporter, because each reads what the one
+	// before it recorded for the cycle.
+	var obs []collector.Observer
+	if r.pressure != nil {
+		obs = append(obs, r.pressure)
 	}
-	r.gc.Observer = o
+	if r.tel != nil {
+		obs = append(obs, newTelemetrySink(r, r.tel))
+	}
+	if r.census != nil {
+		obs = append(obs, r.census)
+	}
+	if r.flight != nil {
+		obs = append(obs, r.flight)
+	}
+	if r.fleetx != nil {
+		obs = append(obs, r.fleetx)
+	}
+	r.gc.Observers = obs
+	return r
 }
 
 // Space exposes the heap for field and array access.

@@ -2,7 +2,6 @@ package rt
 
 import (
 	"fmt"
-	"time"
 
 	"gcassert/internal/collector"
 	"gcassert/internal/core"
@@ -10,9 +9,8 @@ import (
 	"gcassert/internal/telemetry"
 )
 
-// telemetrySink adapts the collector's Observer callbacks into telemetry
-// Events. It lives only on telemetry-enabled runtimes; a disabled runtime
-// leaves the collector's Observer nil, so the Base trace is unperturbed.
+// telemetrySink turns each collection record into a telemetry Event. It
+// lives only on telemetry-enabled runtimes.
 //
 // The sink runs inside stop-the-world collections on the runtime's
 // goroutine, so plain fields need no synchronization; the tracer it feeds
@@ -21,64 +19,48 @@ type telemetrySink struct {
 	r *Runtime
 	t *telemetry.Tracer
 
-	// engineBefore and heapLast are the stat snapshots used to compute
-	// per-collection deltas: engine stats at GCBegin (per-kind checks and
-	// violations of this cycle), heap stats carried across collections
-	// (allocation counters cover the whole inter-GC window).
-	engineBefore core.Stats
-	heapLast     heap.Stats
-
-	phaseStart time.Time
-	phases     []telemetry.PhaseSpan
+	// heapLast is the heap stats at the previous collection, so the
+	// allocation counters cover the whole inter-GC window.
+	heapLast heap.Stats
 }
-
-var _ collector.Observer = (*telemetrySink)(nil)
 
 func newTelemetrySink(r *Runtime, t *telemetry.Tracer) *telemetrySink {
 	return &telemetrySink{r: r, t: t, heapLast: r.space.Stats()}
 }
 
-func (s *telemetrySink) GCBegin(seq uint64, reason collector.Reason) {
-	s.phases = make([]telemetry.PhaseSpan, 0, 3)
-	s.t.RecordTrigger(string(reason))
-	if s.r.engine != nil {
-		s.engineBefore = s.r.engine.Stats()
-	}
-}
+func (s *telemetrySink) GCBegin(col *collector.Collection) { s.t.RecordTrigger(string(col.Reason)) }
 
-func (s *telemetrySink) PhaseBegin(p collector.Phase) { s.phaseStart = time.Now() }
-
-func (s *telemetrySink) PhaseEnd(p collector.Phase, d time.Duration) {
-	s.phases = append(s.phases, telemetry.PhaseSpan{
-		Phase:       p.String(),
-		StartUnixNs: s.phaseStart.UnixNano(),
-		DurNs:       int64(d),
-	})
-}
-
-// GCEnd stamps the event with the collector's own pause window. A clock read
-// in GCBegin would be late (the trigger explainer runs first), and the event
-// window [start, start+TotalNs] would end after the real pause did.
+// GCEnd builds the event from the record: the pause window and every phase
+// span are the collector's own clock reads, so the spans lie inside the
+// window and sum with the collector's per-phase stats.
 func (s *telemetrySink) GCEnd(col *collector.Collection) {
 	ev := &telemetry.Event{
 		Reason:        string(col.Reason),
 		StartUnixNs:   col.Start.UnixNano(),
 		TotalNs:       int64(col.TotalTime),
-		Phases:        s.phases,
+		Phases:        make([]telemetry.PhaseSpan, 0, 3),
 		RootsScanned:  col.RootsScanned,
 		ObjectsMarked: col.ObjectsMarked,
 		ObjectsFreed:  col.ObjectsFreed,
 		ObjectsLive:   col.ObjectsLive,
 		WordsFreed:    col.WordsFreed,
 	}
-	s.phases = nil
+	for p := collector.PhaseOwnership; p <= collector.PhaseSweep; p++ {
+		if start, d, ok := col.PhaseSpan(p); ok {
+			ev.Phases = append(ev.Phases, telemetry.PhaseSpan{Phase: p.String(), StartUnixNs: start.UnixNano(), DurNs: int64(d)})
+		}
+	}
 	if col.Request != 0 {
 		ev.Request = fmt.Sprintf("%016x", col.Request)
 	}
 	if s.r.engine != nil {
-		ev.Kinds = kindDeltas(s.engineBefore, s.r.engine.Stats())
+		act := s.r.engine.LastCycle()
+		ev.Kinds = make([]telemetry.KindCount, core.NumKinds)
+		for k, a := range act {
+			ev.Kinds[k] = telemetry.KindCount{Kind: core.Kind(k).String(), Checks: a.Checks, Violations: a.Violations}
+		}
 	}
-	// Cost attribution and the trigger explainer stamp the collection
+	// Cost attribution and the pressure tracker stamp the collection
 	// record; copy them through so the event stream (and the live SSE feed)
 	// carries the full operator view.
 	if col.Trigger.Why != "" {
@@ -104,22 +86,4 @@ func (s *telemetrySink) GCEnd(col *collector.Collection) {
 		hs.WordsAllocated-s.heapLast.WordsAllocated)
 	s.heapLast = hs
 	s.t.Record(ev)
-}
-
-// kindDeltas converts the engine-stats delta of one collection into
-// per-kind check/violation counts. The natural-unit mapping lives in
-// core.CheckDeltas, shared with the flight recorder and cost attribution so
-// the unit definitions cannot drift.
-func kindDeltas(before, after core.Stats) []telemetry.KindCount {
-	checks := core.CheckDeltas(before, after)
-	names := core.KindNames()
-	out := make([]telemetry.KindCount, core.NumKinds)
-	for k := 0; k < core.NumKinds; k++ {
-		out[k] = telemetry.KindCount{
-			Kind:       names[k],
-			Checks:     checks[k],
-			Violations: after.ViolationsByKind[k] - before.ViolationsByKind[k],
-		}
-	}
-	return out
 }

@@ -6,11 +6,11 @@
 // format, and an opt-in net/http surface.
 //
 // The package is a leaf: it imports only the standard library and the
-// equally leaf-like internal/sse fan-out hub behind the live feed. The
-// collector, assertion engine and runtime feed it through the
-// collector.Observer hook wired up by internal/rt; when telemetry is
-// disabled nothing here is ever constructed and the collector pays one
-// nil-check per phase.
+// equally leaf-like internal/sse fan-out hub behind the live feed.
+// internal/rt feeds it from one of the collector's observers, which turns
+// each completed collection record into an Event; when telemetry is
+// disabled nothing here is ever constructed and the collector's observer
+// list has no telemetry entry.
 //
 // All read paths (Events, metric reads, Prometheus rendering, the HTTP
 // handlers except the heap profile) are safe to call concurrently with a

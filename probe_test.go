@@ -7,9 +7,9 @@ import (
 )
 
 // probeWorld builds: root -> a -> b -> c, plus unrooted orphan.
-func probeWorld(t *testing.T) (*gcassert.Runtime, [4]gcassert.Ref) {
+func probeWorld(t *testing.T, rep gcassert.Reporter) (*gcassert.Runtime, [4]gcassert.Ref) {
 	t.Helper()
-	vm := gcassert.New(gcassert.Options{HeapBytes: 4 << 20, Infrastructure: true})
+	vm := gcassert.New(gcassert.Options{HeapBytes: 4 << 20, Infrastructure: true, Reporter: rep})
 	node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
 	th := vm.NewThread("main")
 	fr := th.Push(2)
@@ -25,7 +25,7 @@ func probeWorld(t *testing.T) (*gcassert.Runtime, [4]gcassert.Ref) {
 }
 
 func TestIsReachable(t *testing.T) {
-	vm, o := probeWorld(t)
+	vm, o := probeWorld(t, nil)
 	a, b, c, orphan := o[0], o[1], o[2], o[3]
 	for _, r := range []gcassert.Ref{a, b, c} {
 		if !vm.IsReachable(r) {
@@ -41,7 +41,7 @@ func TestIsReachable(t *testing.T) {
 }
 
 func TestPathTo(t *testing.T) {
-	vm, o := probeWorld(t)
+	vm, o := probeWorld(t, nil)
 	a, c, orphan := o[0], o[2], o[3]
 	path, root, ok := vm.PathTo(c)
 	if !ok {
@@ -70,7 +70,7 @@ func TestPathTo(t *testing.T) {
 }
 
 func TestRetainedBy(t *testing.T) {
-	vm, o := probeWorld(t)
+	vm, o := probeWorld(t, nil)
 	a, b, orphan := o[0], o[1], o[3]
 	if n := vm.RetainedBy(b); n != 1 {
 		t.Errorf("RetainedBy(b) = %d", n)
@@ -103,10 +103,9 @@ func TestRetainedBy(t *testing.T) {
 // TestProbeAgreesWithAssertDead: the probe and the deferred assertion agree
 // on reachability.
 func TestProbeAgreesWithAssertDead(t *testing.T) {
-	vm, o := probeWorld(t)
-	c, orphan := o[2], o[3]
 	rep := &gcassert.CollectingReporter{}
-	vm.Engine().SetReporter(rep)
+	vm, o := probeWorld(t, rep)
+	c, orphan := o[2], o[3]
 	probeSaysLiveC := vm.IsReachable(c)
 	probeSaysLiveOrphan := vm.IsReachable(orphan)
 	vm.AssertDead(c)
