@@ -36,7 +36,7 @@ func (r *Runtime) HeapProfile() []TypeProfile {
 			byType[t] = p
 		}
 		p.Objects++
-		p.Words += reg.Info(t).SizeWords(space.ArrayLen(a))
+		p.Words += space.SizeWords(a)
 		return true
 	})
 	out := make([]TypeProfile, 0, len(byType))

@@ -69,7 +69,7 @@ func (t *Tenant) pokeSnapshot() {
 }
 
 // sloRecordRequests is the request-path seam: one atomic load and a nil
-// check when no SLO is configured (BenchmarkSLOOff pins this at zero
+// check when no SLO is configured (BenchmarkLayersOff/SLO pins this at zero
 // allocations). It returns the SLO engine's at-record-time judgment —
 // whether this batch was SLO-bad — which the trace tail sampler consumes;
 // with no SLO configured nothing is ever SLO-bad.

@@ -7,36 +7,6 @@ import (
 	"gcassert/internal/slo"
 )
 
-// BenchmarkSLOOff is the acceptance gate for the SLO-disabled record path:
-// with no SLO configured, sloRecordRequests and sloRecordPause must reduce
-// to an atomic load and a nil check — zero allocations — so tenants that
-// never opt in pay nothing on the request and GC paths. Self-asserted
-// in-line like the other *Off gates so `go test -bench BenchmarkSLOOff`
-// fails loudly on a regression.
-func BenchmarkSLOOff(b *testing.B) {
-	s := NewServer(Config{})
-	defer s.Close()
-	tn, err := s.CreateTenant("bench", TenantOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	allocs := testing.AllocsPerRun(1000, func() {
-		tn.sloRecordRequests(1, 0, 0)
-		tn.sloRecordPause(1_000_000, 10_000)
-	})
-	if allocs > 0.0001 {
-		b.Fatalf("SLO-off record path allocates %.4f times/op, want 0", allocs)
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tn.sloRecordRequests(1, 0, 0)
-		tn.sloRecordPause(1_000_000, 10_000)
-	}
-}
-
 // BenchmarkSLORecord measures the enabled-mode cost of one request record
 // (ring add + two-rule evaluation) for the EXPERIMENTS overhead table.
 func BenchmarkSLORecord(b *testing.B) {

@@ -23,7 +23,7 @@ var ErrNoTrace = errors.New("no such trace")
 // TraceOptions is a tenant's request-to-GC tracing configuration, accepted
 // on tenant creation. A nil TraceOptions means tracing off: the drive path
 // then pays one atomic load per batch and one nil check per request, and
-// allocates nothing (BenchmarkTracingOff pins this).
+// allocates nothing (BenchmarkLayersOff/Tracing pins this).
 type TraceOptions struct {
 	// Capacity bounds the tenant's stored traces; the store evicts oldest
 	// first. 0 applies trace.DefaultStoreCap.

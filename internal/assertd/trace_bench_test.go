@@ -3,48 +3,9 @@ package assertd
 import (
 	"testing"
 
-	"gcassert"
 	"gcassert/internal/telemetry"
 	"gcassert/internal/trace"
 )
-
-// BenchmarkTracingOff is the acceptance gate for the tracing-disabled hot
-// path: with no Trace options configured, traceBegin must reduce to one
-// atomic load plus a nil check, and the per-event/per-violation taps to one
-// nil check each — zero allocations — so tenants that never opt in pay
-// nothing per drive, per collection, or per violation. Self-asserted
-// in-line like BenchmarkSLOOff so `go test -bench BenchmarkTracingOff`
-// fails loudly on a regression.
-func BenchmarkTracingOff(b *testing.B) {
-	s := NewServer(Config{})
-	defer s.Close()
-	tn, err := s.CreateTenant("bench", TenantOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if tb := tn.traceBegin(trace.SpanContext{}, 1, false); tb != nil {
-		b.Fatal("traceBegin returned a builder for an untraced tenant")
-	}
-
-	ev := &telemetry.Event{}
-	v := &gcassert.Violation{}
-	allocs := testing.AllocsPerRun(1000, func() {
-		tn.traceBegin(trace.SpanContext{}, 1, false)
-		tn.traceTapEvent(ev)
-		tn.traceTapViolation(v)
-	})
-	if allocs > 0.0001 {
-		b.Fatalf("tracing-off path allocates %.4f times/op, want 0", allocs)
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tn.traceBegin(trace.SpanContext{}, 1, false)
-		tn.traceTapEvent(ev)
-		tn.traceTapViolation(v)
-	}
-}
 
 // BenchmarkTracingOn measures the enabled-mode cost of building one traced
 // request (span open/close plus one GC event tap) for the EXPERIMENTS

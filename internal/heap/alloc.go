@@ -10,14 +10,7 @@ import (
 // address, or ok=false when the heap is exhausted (the runtime then triggers
 // a collection and retries).
 func (s *Space) Allocate(t TypeID, arrayLen int) (Addr, bool) {
-	ti := s.reg.Info(t)
-	if ti.Kind == KindObject && arrayLen != 0 {
-		panic(fmt.Sprintf("heap: arrayLen %d for non-array type %s", arrayLen, ti.Name))
-	}
-	if arrayLen < 0 {
-		panic(fmt.Sprintf("heap: negative array length %d", arrayLen))
-	}
-	size := ti.SizeWords(arrayLen)
+	size := s.reg.newWords(t, arrayLen)
 	if size > maxSmallWords {
 		return s.allocLarge(t, arrayLen, size)
 	}
@@ -48,6 +41,25 @@ func (s *Space) Allocate(t TypeID, arrayLen int) (Addr, bool) {
 			return Nil, false
 		}
 	}
+}
+
+// newWords returns the size in words of a new instance of t with arrayLen
+// elements, from the layout table; a misuse panics in the slow path.
+func (r *Registry) newWords(t TypeID, arrayLen int) int {
+	if int(t) < len(r.layouts) {
+		w := r.layouts[t].words
+		if w != 0 && arrayLen == 0 {
+			return int(w)
+		}
+		if w == 0 && arrayLen >= 0 {
+			return 1 + arrayLen
+		}
+	}
+	ti := r.Info(t)
+	if ti.Kind == KindObject && arrayLen != 0 {
+		panic(fmt.Sprintf("heap: arrayLen %d for non-array type %s", arrayLen, ti.Name))
+	}
+	panic(fmt.Sprintf("heap: negative array length %d", arrayLen))
 }
 
 // allocLarge allocates an object spanning one or more dedicated blocks.

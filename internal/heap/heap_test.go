@@ -34,12 +34,11 @@ func TestRegistryBasics(t *testing.T) {
 	if got := ni.SizeWords(0); got != 3 {
 		t.Errorf("Node size = %d words, want 3", got)
 	}
-	if len(ni.RefOffsets) != 1 || ni.RefOffsets[0] != 1 {
-		t.Errorf("Node ref offsets = %v", ni.RefOffsets)
+	if l := reg.layouts[node]; l != (layout{refs: 0b01, scalars: 0b10, words: 3}) {
+		t.Errorf("Node layout = %+v", l)
 	}
-	pi := reg.Info(pair)
-	if len(pi.RefOffsets) != 2 {
-		t.Errorf("Pair ref offsets = %v", pi.RefOffsets)
+	if l := reg.layouts[pair]; l != (layout{refs: 0b11, words: 3}) {
+		t.Errorf("Pair layout = %+v", l)
 	}
 	if id, ok := reg.Lookup("Node"); !ok || id != node {
 		t.Error("Lookup(Node) failed")

@@ -1,7 +1,9 @@
 package heap
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -147,5 +149,84 @@ func TestFreeListNoOverlap(t *testing.T) {
 				t.Fatalf("overlapping objects: %+v %+v", spans[i], spans[j])
 			}
 		}
+	}
+}
+
+// TestLayoutMatchesFields checks the layout table against a naive walk of
+// TypeInfo.Fields over random types of 1–130 fields, wide ones included:
+// ForEachRef yields the non-nil reference fields in slot order, RefSlots
+// counts the reference fields, SizeWords is the type's size, every field
+// reads back what was stored through its own accessor kind, and Verify's
+// invariant 8 holds.
+func TestLayoutMatchesFields(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		reg := NewRegistry()
+		s := NewSpace(reg, 1<<20)
+		target := mustAlloc(t, s, TWordArray, 0)
+		for k := 0; k < 8; k++ {
+			fields := make([]Field, 1+rng.Intn(130))
+			for i := range fields {
+				fields[i] = Field{Name: fmt.Sprintf("f%d", i), Ref: rng.Intn(2) == 0}
+			}
+			typ := reg.Define(fmt.Sprintf("T%d", k), fields...)
+			a := mustAlloc(t, s, typ, 0)
+			var wantSlots []int
+			nrefs := 0
+			for i, f := range fields {
+				switch {
+				case !f.Ref:
+					s.SetScalar(a, i, uint64(i)*7+1)
+				case rng.Intn(3) > 0:
+					s.SetRef(a, i, target)
+					wantSlots = append(wantSlots, i)
+				}
+				if f.Ref {
+					nrefs++
+				}
+			}
+			var gotSlots []int
+			s.ForEachRef(a, func(slot int, r Addr) {
+				if r != target {
+					t.Errorf("seed %d: %s slot %d holds %v", seed, reg.Name(typ), slot, r)
+				}
+				gotSlots = append(gotSlots, slot)
+			})
+			if fmt.Sprint(gotSlots) != fmt.Sprint(wantSlots) {
+				t.Logf("seed %d: %s (%d fields) ForEachRef slots %v, want %v", seed, reg.Name(typ), len(fields), gotSlots, wantSlots)
+				return false
+			}
+			if got := s.RefSlots(a); got != nrefs {
+				t.Logf("seed %d: %s RefSlots %d, want %d", seed, reg.Name(typ), got, nrefs)
+				return false
+			}
+			if got := s.SizeWords(a); got != 1+len(fields) {
+				t.Logf("seed %d: %s SizeWords %d, want %d", seed, reg.Name(typ), got, 1+len(fields))
+				return false
+			}
+			for i, f := range fields {
+				if !f.Ref && s.GetScalar(a, i) != uint64(i)*7+1 {
+					t.Logf("seed %d: %s scalar slot %d lost its value", seed, reg.Name(typ), i)
+					return false
+				}
+				if f.Ref && (s.GetRef(a, i) == target) != slices.Contains(wantSlots, i) {
+					t.Logf("seed %d: %s ref slot %d reads %v", seed, reg.Name(typ), i, s.GetRef(a, i))
+					return false
+				}
+			}
+		}
+		if err := s.Verify(); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		return true
+	}
+	for _, seed := range []int64{1, 2, 3, 42} {
+		if !prop(seed) {
+			t.Fatalf("seed %d failed", seed)
+		}
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
 	}
 }

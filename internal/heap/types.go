@@ -1,9 +1,6 @@
 package heap
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // TypeID identifies a registered object type. IDs are dense small integers so
 // per-type side tables (e.g. assert-instances counters) can be flat arrays,
@@ -68,9 +65,6 @@ type TypeInfo struct {
 	Kind Kind
 	// Fields holds the declared fields, in layout order (KindObject only).
 	Fields []Field
-	// RefOffsets lists the word offsets (from the object base, so the first
-	// field is offset 1) of all reference fields, ascending (KindObject only).
-	RefOffsets []int32
 	// fieldIndex maps field name to slot index.
 	fieldIndex map[string]int
 }
@@ -109,12 +103,48 @@ func (t *TypeInfo) FieldName(slot int) string {
 	return fmt.Sprintf("[%d]", slot)
 }
 
+// layoutSlots is the number of field slots a layout's bitmaps cover. Slots
+// past it exist only on wide types, whose accessors and scan fall back to
+// the TypeInfo's Fields.
+const layoutSlots = 64
+
+// layout is the flat per-type descriptor every per-access and per-object
+// path reads instead of the TypeInfo: one load resolves a header's TypeID
+// to which field slots hold references and which hold scalars. Arrays have
+// neither bit set; the only array types are TRefArray and TWordArray, and
+// their accessors test the TypeID itself.
+type layout struct {
+	refs    uint64 // bit i: field slot i < 64 is a reference
+	scalars uint64 // bit i: field slot i < 64 exists and is not a reference
+	words   uint64 // instance size in words, header included; 0 for arrays
+}
+
+// wide reports whether the type has field slots the bitmaps do not cover.
+func (l *layout) wide() bool { return l.words > 1+layoutSlots }
+
+// makeLayout builds the layout of a type from its descriptor.
+func makeLayout(t *TypeInfo) layout {
+	if t.Kind != KindObject {
+		return layout{}
+	}
+	l := layout{words: uint64(1 + len(t.Fields))}
+	for i, f := range t.Fields[:min(len(t.Fields), layoutSlots)] {
+		if f.Ref {
+			l.refs |= 1 << i
+		} else {
+			l.scalars |= 1 << i
+		}
+	}
+	return l
+}
+
 // Registry holds all registered types. It is the analogue of the VM's loaded
 // class table. A Registry is not safe for concurrent mutation; workloads
 // register types during setup.
 type Registry struct {
-	types []*TypeInfo // indexed by TypeID
-	byNam map[string]TypeID
+	types   []*TypeInfo // indexed by TypeID
+	layouts []layout    // indexed by TypeID, in step with types
+	byNam   map[string]TypeID
 }
 
 // NewRegistry creates a registry pre-populated with the builtin array types.
@@ -126,6 +156,9 @@ func NewRegistry() *Registry {
 	r.types[TWordArray] = &TypeInfo{ID: TWordArray, Name: "[word", Kind: KindWordArray}
 	r.byNam["[Object"] = TRefArray
 	r.byNam["[word"] = TWordArray
+	for _, t := range r.types {
+		r.layouts = append(r.layouts, makeLayout(t))
+	}
 	return r
 }
 
@@ -152,12 +185,9 @@ func (r *Registry) Define(name string, fields ...Field) TypeID {
 			panic(fmt.Sprintf("heap: type %q has duplicate field %q", name, f.Name))
 		}
 		t.fieldIndex[f.Name] = i
-		if f.Ref {
-			t.RefOffsets = append(t.RefOffsets, int32(1+i))
-		}
 	}
-	sort.Slice(t.RefOffsets, func(a, b int) bool { return t.RefOffsets[a] < t.RefOffsets[b] })
 	r.types = append(r.types, t)
+	r.layouts = append(r.layouts, makeLayout(t))
 	r.byNam[name] = id
 	return id
 }
@@ -174,6 +204,15 @@ func (r *Registry) Info(id TypeID) *TypeInfo {
 		panic(fmt.Sprintf("heap: unknown TypeID %d", id))
 	}
 	return r.types[id]
+}
+
+// layoutOf returns the layout of a registered type. An unknown ID panics in
+// Info with its message.
+func (r *Registry) layoutOf(id TypeID) *layout {
+	if int(id) >= len(r.layouts) {
+		r.Info(id)
+	}
+	return &r.layouts[id]
 }
 
 // NumTypes returns the number of registered types (including builtins).

@@ -6,10 +6,13 @@ import (
 )
 
 // Verify checks the heap's structural invariants (DESIGN.md, "Heap layout
-// and its invariants", numbers 3–7, and side-table invariant 1) and returns
+// and its invariants", numbers 3–8, and side-table invariant 1) and returns
 // the first one found broken. It is O(heap) and is called only from tests,
 // between a sweep and the next mark.
 func (s *Space) Verify() error {
+	if err := s.reg.verifyLayouts(); err != nil {
+		return err
+	}
 	// Invariant 4, gathered first: how often each block sits on a list.
 	nFree := make([]int, s.nblocks)
 	for _, bi := range s.freeBlocks {
@@ -131,6 +134,34 @@ func (s *Space) verifyTables() error {
 		}
 		if n != t.n {
 			return fmt.Errorf("table %d: %d non-zero entries, Len() = %d", ti, n, t.n)
+		}
+	}
+	return nil
+}
+
+// verifyLayouts checks invariant 8: every type's layout says what its
+// TypeInfo says. For each slot below 64 the ref bit is set iff the field is
+// a reference and the scalar bit iff the field exists and is not one; an
+// array has neither bit and size 0, an object the size SizeWords gives.
+func (r *Registry) verifyLayouts() error {
+	if len(r.layouts) != len(r.types) {
+		return fmt.Errorf("layout table: %d layouts for %d types", len(r.layouts), len(r.types))
+	}
+	for id, t := range r.types {
+		var want layout
+		if t.Kind == KindObject {
+			want.words = uint64(t.SizeWords(0))
+			for i := 0; i < len(t.Fields) && i < layoutSlots; i++ {
+				if t.Fields[i].Ref {
+					want.refs |= 1 << i
+				} else {
+					want.scalars |= 1 << i
+				}
+			}
+		}
+		if got := r.layouts[id]; got != want {
+			return fmt.Errorf("layout of %s: refs %#x scalars %#x words %d, its fields say %#x %#x %d",
+				t.Name, got.refs, got.scalars, got.words, want.refs, want.scalars, want.words)
 		}
 	}
 	return nil

@@ -119,6 +119,20 @@ func TestVerifyCatchesEachInvariant(t *testing.T) {
 		{"7: Len miscounts", "Len()", func(_ *Space, tab *CellTable, _ Addr) {
 			tab.n++
 		}},
+		{"8: a scalar field has a ref bit", "layout of Small", func(s *Space, _ *CellTable, _ Addr) {
+			id, _ := s.reg.Lookup("Small")
+			s.reg.layouts[id].refs |= 1
+		}},
+		{"8: a field has no bit", "layout of Big", func(s *Space, _ *CellTable, _ Addr) {
+			id, _ := s.reg.Lookup("Big")
+			s.reg.layouts[id].scalars &^= 1 << 6
+		}},
+		{"8: an array has a ref bit", "layout of [Object", func(s *Space, _ *CellTable, _ Addr) {
+			s.reg.layouts[TRefArray].refs = 1
+		}},
+		{"8: an object's size is wrong", "layout of Big", func(s *Space, _ *CellTable, survivor Addr) {
+			s.reg.layouts[s.TypeOf(survivor)].words++
+		}},
 	}
 	for _, tc := range cases {
 		s, tab, survivor := verifyWorld(t)

@@ -175,7 +175,7 @@ func (c *Census) SetIdentity(id version.Identity) { c.identity = &id }
 // observe accounts one surviving object.
 func (c *Census) observe(a heap.Addr) bool {
 	t := c.space.TypeOf(a)
-	sz := c.space.Registry().Info(t).SizeWords(c.space.ArrayLen(a))
+	sz := c.space.SizeWords(a)
 	c.objects[t]++
 	c.words[t] += uint64(sz)
 	c.cellWords[t] += uint64(c.space.CellWords(a))

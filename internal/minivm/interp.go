@@ -128,10 +128,9 @@ func (im *Image) Run() error {
 	// panics out leaves references behind, which the next Run would scan as
 	// roots before overwriting them, so those exits clear the frame.
 	if im.fr == nil {
-		im.fr = im.th.Push(0)
-	} else {
-		im.th.PushFrame(im.fr)
+		im.fr = im.th.NewFrame(0)
 	}
+	im.th.PushFrame(im.fr)
 	returned := false
 	defer func() {
 		if !returned {

@@ -68,7 +68,7 @@ func (r *Runtime) siteProfile() []flight.SiteSample {
 			order = append(order, k)
 		}
 		sm.Objects++
-		sm.Bytes += int64(reg.Info(k.typ).SizeWords(s.ArrayLen(a))) * heap.WordBytes
+		sm.Bytes += int64(s.SizeWords(a)) * heap.WordBytes
 		return true
 	})
 	out := make([]flight.SiteSample, 0, len(order))

@@ -109,6 +109,92 @@ func TestFrameResize(t *testing.T) {
 	}
 }
 
+// TestPushPopAllocatesNothing: Pop keeps the frames Push made and Push hands
+// them out again, so a warm Push/Pop loop makes no host allocation.
+func TestPushPopAllocatesNothing(t *testing.T) {
+	r := newRT(t, Config{})
+	node := r.Define("Node", heap.Field{Name: "next", Ref: true})
+	th := r.NewThread("main")
+	a := th.New(node)
+	r.SetGlobal(r.NewGlobal("a"), a)
+	cycle := func() {
+		outer := th.Push(2)
+		outer.Set(1, a)
+		th.Push(1).Set(0, a)
+		th.Pop()
+		th.Pop()
+	}
+	cycle() // warm-up: the two frames are made once
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("Push/Pop: %v host allocations per cycle, want 0", n)
+	}
+}
+
+// TestPushedFrameComesBackNil: a frame Push hands out again has only Nil
+// slots, including those a Truncate or a shrinking Resize left above the
+// window before its Pop.
+func TestPushedFrameComesBackNil(t *testing.T) {
+	r := newRT(t, Config{})
+	node := r.Define("Node", heap.Field{Name: "next", Ref: true})
+	th := r.NewThread("main")
+	a := th.New(node)
+	for _, tc := range []struct {
+		name string
+		use  func(fr *Frame)
+	}{
+		{"Truncate", func(fr *Frame) {
+			fr.Set(0, a)
+			fr.Add(a)
+			fr.Add(a)
+			fr.Truncate(1)
+		}},
+		{"shrinking Resize", func(fr *Frame) {
+			fr.Resize(6)[5] = a
+			fr.Resize(1)
+		}},
+	} {
+		fr := th.Push(1)
+		tc.use(fr)
+		th.Pop()
+		again := th.Push(1)
+		if again != fr {
+			t.Fatalf("%s: Push did not reuse the popped frame", tc.name)
+		}
+		for i, v := range again.Resize(6) {
+			if v != heap.Nil {
+				t.Errorf("%s: slot %d of the reused frame holds %v", tc.name, i, v)
+			}
+		}
+		th.Pop()
+	}
+}
+
+// TestNewFrameIsNeverHandedOutByPush: a NewFrame frame is the caller's
+// across PushFrame/Pop pairs, and a frame Push made cannot be pushed again
+// with PushFrame.
+func TestNewFrameIsNeverHandedOutByPush(t *testing.T) {
+	r := newRT(t, Config{})
+	node := r.Define("Node", heap.Field{Name: "next", Ref: true})
+	th := r.NewThread("main")
+	a := th.New(node)
+	own := th.NewFrame(1)
+	for i := 0; i < 3; i++ {
+		th.PushFrame(own)
+		own.Set(0, a)
+		th.Pop()
+		if f := th.Push(1); f == own {
+			t.Fatal("Push handed out a NewFrame frame")
+		}
+		th.Pop()
+	}
+	if own.Get(0) != a {
+		t.Errorf("Pop cleared a NewFrame frame: slot 0 = %v", own.Get(0))
+	}
+	pushed := th.Push(1)
+	th.Pop()
+	mustPanic(t, "PushFrame of a Push frame", func() { th.PushFrame(pushed) })
+}
+
 // TestTelemetryEventWindowIsThePause: a GC event's [StartUnixNs,
 // StartUnixNs+TotalNs] is the collection's own pause window, which lies
 // between clock reads taken around Collect. The pressure tracker runs

@@ -17,6 +17,7 @@ type Thread struct {
 	name     string
 	locals   string // every frame's root description: name + ".locals"
 	frames   []*Frame
+	spare    []*Frame // frames Push made whose Pop has run; every slot Nil
 	inRegion bool
 
 	// allocObjects/allocWords count this thread's allocations cumulatively;
@@ -32,6 +33,11 @@ type Thread struct {
 type Frame struct {
 	slots []heap.Addr
 	desc  string
+	// hi bounds what Truncate and Resize left above the window: every slot
+	// at or above max(hi, len(slots)) is Nil, so Pop clears no more than
+	// the frame used.
+	hi     int
+	pooled bool // made by Push: Pop returns it to the thread's spare list
 }
 
 // ID returns the thread's identifier.
@@ -40,24 +46,61 @@ func (t *Thread) ID() uint64 { return t.id }
 // Name returns the thread's name.
 func (t *Thread) Name() string { return t.name }
 
-// Push creates a frame with n local slots and returns it.
+// Push pushes a frame of n Nil local slots and returns it. The frame is
+// valid until its Pop: Pop keeps the frames Push made, cleared, and Push
+// hands them out again, so a Push/Pop pair allocates nothing on the host
+// once the thread has pushed that deep. A caller that keeps a frame across
+// its Pop makes it with NewFrame and pushes it with PushFrame.
 func (t *Thread) Push(n int) *Frame {
-	f := &Frame{slots: make([]heap.Addr, n), desc: t.locals}
+	var f *Frame
+	if k := len(t.spare); k > 0 {
+		f = t.spare[k-1]
+		t.spare = t.spare[:k-1]
+		if n <= cap(f.slots) {
+			f.slots = f.slots[:n]
+		} else {
+			f.slots = make([]heap.Addr, n)
+		}
+	} else {
+		f = &Frame{slots: make([]heap.Addr, n), desc: t.locals, pooled: true}
+	}
 	t.frames = append(t.frames, f)
 	return f
 }
 
-// PushFrame pushes f again: a frame this thread's Push returned and Pop
-// has since discarded. Its slots come back as they were left, so a caller
-// that reuses a frame clears what must not be scanned again (Frame.Clear).
-func (t *Thread) PushFrame(f *Frame) { t.frames = append(t.frames, f) }
+// NewFrame makes a frame of n Nil local slots that belongs to the caller:
+// Push never hands it out, and it stays valid across any number of
+// PushFrame/Pop pairs.
+func (t *Thread) NewFrame(n int) *Frame {
+	return &Frame{slots: make([]heap.Addr, n), desc: t.locals}
+}
 
-// Pop discards the top frame; its slots stop being roots.
+// PushFrame pushes f, a frame NewFrame made. Its slots come back as the
+// last Pop left them, so a caller that reuses a frame clears what must not
+// be scanned again (Frame.Clear). A frame Push made panics: after its Pop
+// it belongs to the next Push.
+func (t *Thread) PushFrame(f *Frame) {
+	if f.pooled {
+		panic("rt: PushFrame of a frame Push made")
+	}
+	t.frames = append(t.frames, f)
+}
+
+// Pop discards the top frame; its slots stop being roots. A frame Push
+// made is cleared and kept for the next Push.
 func (t *Thread) Pop() {
-	if len(t.frames) == 0 {
+	n := len(t.frames)
+	if n == 0 {
 		panic("rt: Pop on empty frame stack")
 	}
-	t.frames = t.frames[:len(t.frames)-1]
+	f := t.frames[n-1]
+	t.frames[n-1] = nil
+	t.frames = t.frames[:n-1]
+	if f.pooled {
+		clear(f.slots[:max(f.hi, len(f.slots))])
+		f.hi = 0
+		t.spare = append(t.spare, f)
+	}
 }
 
 // Depth returns the number of live frames.
@@ -85,6 +128,7 @@ func (f *Frame) Truncate(n int) {
 	if n < 0 || n > len(f.slots) {
 		panic("rt: Truncate out of range")
 	}
+	f.hi = max(f.hi, len(f.slots))
 	f.slots = f.slots[:n]
 }
 
@@ -95,6 +139,7 @@ func (f *Frame) Truncate(n int) {
 // it pops. Past capacity the backing array is reallocated (new slots Nil)
 // and every slice returned earlier is stale.
 func (f *Frame) Resize(n int) []heap.Addr {
+	f.hi = max(f.hi, len(f.slots))
 	if n > cap(f.slots) {
 		f.grow(n)
 	}
