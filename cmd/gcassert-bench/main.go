@@ -1,12 +1,9 @@
 // Command gcassert-bench regenerates the paper's evaluation figures on the
-// synthetic benchmark suite and maintains the machine-readable benchmark
-// trajectory.
+// synthetic benchmark suite.
 //
 // Usage:
 //
 //	gcassert-bench [-figure N] [-bench name] [-trials T] [-iters I] [-paper]
-//	gcassert-bench -baseline run.json [flags]
-//	gcassert-bench -compare [-gate] old.json new.json
 //
 //	-figure 0      run everything (default): Figures 2, 3, 4 and 5
 //	-figure 2|3    infrastructure overhead across the full suite
@@ -14,21 +11,8 @@
 //	-bench name    restrict to one workload
 //	-paper         use the paper's full methodology (20 trials, 4 iterations)
 //
-// -baseline runs the baseline probe (per-trial base/census times, pause
-// percentiles, census overhead) on the assertion-bearing workloads and
-// writes a versioned BENCH_run JSON document to the file ("-" for stdout).
-// Base and census trials are interleaved A/B/A/B so machine drift cannot
-// masquerade as configuration overhead, and the document carries per-trial
-// arrays plus a runner stamp so later comparisons can test significance and
-// know whether absolute times are comparable.
-//
-// -compare diffs two run documents: Mann–Whitney significance per metric,
-// confident verdicts on machine-independent overhead ratios always and on
-// absolute times only when the runner fingerprints match. With -gate a
-// confident regression exits 3 — the CI tripwire.
-//
-// Exit status: 0 on success, 1 when an input is missing or malformed, 2 on
-// usage errors, 3 when -gate found a confident regression.
+// Exit status: 0 on success, 1 when the named workload does not exist, 2 on
+// usage errors.
 package main
 
 import (
@@ -47,7 +31,7 @@ func main() {
 }
 
 // run is main without the process exit: 0 on success, 1 on data errors, 2 on
-// usage errors, 3 when -gate trips on a confident regression.
+// usage errors.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gcassert-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -56,9 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	trials := fs.Int("trials", 0, "override number of trials")
 	iters := fs.Int("iters", 0, "override iterations per trial")
 	paper := fs.Bool("paper", false, "use the paper's full methodology (20 trials x 4 iterations)")
-	baseline := fs.String("baseline", "", "write a versioned BENCH_run JSON to this file and exit (\"-\" = stdout)")
-	compare := fs.Bool("compare", false, "compare two run documents (old.json new.json) and print the delta table")
-	gate := fs.Bool("gate", false, "with -compare: exit 3 when a confident regression is found")
 	showVersion := fs.Bool("version", false, "print build identity and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -72,35 +53,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "gcassert-bench: usage: "+msg)
 		return 2
 	}
-	dataErr := func(err error) int {
-		fmt.Fprintln(stderr, "gcassert-bench:", err)
-		return 1
-	}
 
-	if *compare {
-		if fs.NArg() != 2 {
-			return usage("gcassert-bench -compare [-gate] old.json new.json")
-		}
-		oldDoc, err := bench.ReadRunDoc(fs.Arg(0))
-		if err != nil {
-			return dataErr(err)
-		}
-		newDoc, err := bench.ReadRunDoc(fs.Arg(1))
-		if err != nil {
-			return dataErr(err)
-		}
-		res := bench.CompareRuns(oldDoc, newDoc)
-		bench.PrintCompare(stdout, oldDoc, newDoc, res)
-		if *gate && res.HasRegression() {
-			return 3
-		}
-		return 0
-	}
-	if *gate {
-		return usage("-gate only applies to -compare")
-	}
 	if fs.NArg() != 0 {
-		return usage("positional arguments only with -compare")
+		return usage("gcassert-bench takes no positional arguments")
 	}
 	switch *figure {
 	case 0, 2, 3, 4, 5:
@@ -123,29 +78,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *name != "" {
 		w, err := workloads.ByName(*name)
 		if err != nil {
-			return dataErr(err)
+			fmt.Fprintln(stderr, "gcassert-bench:", err)
+			return 1
 		}
 		suite = []bench.Workload{w}
-	}
-
-	if *baseline != "" {
-		doc := bench.MeasureBaseline(suite, opt, stderr)
-		if len(doc.Workloads) == 0 {
-			return dataErr(fmt.Errorf("no assertion-bearing workloads in the selection — the baseline tracks the paper's featured pair"))
-		}
-		dst := stdout
-		if *baseline != "-" {
-			f, err := os.Create(*baseline)
-			if err != nil {
-				return dataErr(err)
-			}
-			defer f.Close()
-			dst = f
-		}
-		if err := doc.WriteJSON(dst); err != nil {
-			return dataErr(err)
-		}
-		return 0
 	}
 
 	wantInfraFigs := *figure == 0 || *figure == 2 || *figure == 3

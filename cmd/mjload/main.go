@@ -26,8 +26,7 @@
 // series) on the server for inspection afterwards. -slo attaches an SLO
 // spec (JSON, see internal/slo.Spec) to every provisioned tenant and adds
 // each tenant's post-run compliance judgment — budget remaining, worst
-// burn rate, alert state — to the report; -bench-out archives the run as a
-// BENCH_run service document (schema v2) for the trajectory pipeline.
+// burn rate, alert state — to the report.
 //
 // The report decomposes each latency component and blames GC stop-the-world
 // time per trigger reason and per assertion kind (via the runtime's cost
@@ -86,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	prefix := fs.String("prefix", "load", "tenant name prefix (-server mode)")
 	keep := fs.Bool("keep", false, "leave the provisioned tenants on the server after the run (-server mode)")
 	sloFile := fs.String("slo", "", "SLO spec JSON to attach to every provisioned tenant; the report adds per-tenant compliance (-server mode)")
-	benchOut := fs.String("bench-out", "", "write the run as a BENCH_run service document (schema v2) to this file (-server mode)")
 	showVersion := fs.Bool("version", false, "print build identity and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -142,21 +140,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 			heapMiB = 16
 		}
 		return runServer(serverRun{
-			url:      strings.TrimRight(*server, "/"),
-			tenants:  *tenants,
-			prefix:   *prefix,
-			keep:     *keep,
-			rps:      *rps,
-			n:        *n,
-			heapMiB:  heapMiB,
-			jsonOut:  *jsonOut,
-			src:      string(src),
-			slo:      sloSpec,
-			benchOut: *benchOut,
+			url:     strings.TrimRight(*server, "/"),
+			tenants: *tenants,
+			prefix:  *prefix,
+			keep:    *keep,
+			rps:     *rps,
+			n:       *n,
+			heapMiB: heapMiB,
+			jsonOut: *jsonOut,
+			src:     string(src),
+			slo:     sloSpec,
 		}, stdout, stderr)
 	}
-	if *sloFile != "" || *benchOut != "" {
-		return usage("-slo and -bench-out require -server")
+	if *sloFile != "" {
+		return usage("-slo requires -server")
 	}
 	if (*workload == "") == (fs.NArg() != 1) {
 		return usage("mjload [flags] program.mj  |  mjload -workload name [flags]")

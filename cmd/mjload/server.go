@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"time"
 
-	"gcassert/internal/bench"
 	"gcassert/internal/loadlab"
 	"gcassert/internal/slo"
 )
@@ -22,17 +20,16 @@ import (
 // the in-process lab does — but over HTTP, against a real multi-tenant
 // server.
 type serverRun struct {
-	url      string
-	tenants  int
-	prefix   string
-	keep     bool
-	rps      float64
-	n        int
-	heapMiB  int
-	jsonOut  bool
-	src      string
-	slo      *slo.Spec // attached to every tenant at creation when non-nil
-	benchOut string    // write a BENCH_run service document here when non-empty
+	url     string
+	tenants int
+	prefix  string
+	keep    bool
+	rps     float64
+	n       int
+	heapMiB int
+	jsonOut bool
+	src     string
+	slo     *slo.Spec // attached to every tenant at creation when non-nil
 }
 
 // tenantName returns session i's tenant ID.
@@ -93,12 +90,6 @@ func runServer(sr serverRun, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if sr.benchOut != "" {
-		if err := writeBenchDoc(sr, m, drive, sloRows); err != nil {
-			return dataErr(err)
-		}
-	}
-
 	if sr.jsonOut {
 		if err := json.NewEncoder(stdout).Encode(serverSummary(sr, m, drive, sloRows)); err != nil {
 			return dataErr(err)
@@ -152,51 +143,6 @@ func fetchTenantSLOs(client *http.Client, sr serverRun) ([]tenantSLOJSON, error)
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// writeBenchDoc archives the run as a BENCH_run service document.
-func writeBenchDoc(sr serverRun, m *loadlab.MultiReport, d *loadlab.HTTPDrive, sloRows []tenantSLOJSON) error {
-	tot := d.Totals()
-	p50, p99, p999, max := m.Latency.Tail()
-	svc := bench.ServiceRun{
-		Name:                 sr.prefix,
-		Server:               sr.url,
-		Tenants:              sr.tenants,
-		TargetRPSPerTenant:   sr.rps,
-		AchievedRPSAggregate: m.AchievedRPS(),
-		Requests:             tot.Requests,
-		Failures:             tot.Failures,
-		Violations:           tot.Violations,
-		ViolationsPerMillion: violationsPerMillion(tot.Violations, tot.Requests),
-		LatencyP50Ns:         p50.Nanoseconds(),
-		LatencyP99Ns:         p99.Nanoseconds(),
-		LatencyP999Ns:        p999.Nanoseconds(),
-		LatencyMaxNs:         max.Nanoseconds(),
-	}
-	for _, row := range sloRows {
-		svc.SLOTenants++
-		if row.Compliant {
-			svc.SLOTenantsCompliant++
-		}
-		if row.WorstBurn > svc.SLOWorstBurn {
-			svc.SLOWorstBurn, svc.SLOWorstTenant = row.WorstBurn, row.Tenant
-		}
-	}
-	doc := bench.RunDoc{
-		SchemaVersion: bench.RunSchemaVersion,
-		GeneratedUnix: time.Now().Unix(),
-		Runner:        bench.CurrentRunner(),
-		Service:       []bench.ServiceRun{svc},
-	}
-	f, err := os.Create(sr.benchOut)
-	if err != nil {
-		return err
-	}
-	if err := doc.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // createServerTenant creates tenant i and submits the program to it.

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	mjrun [-heap MiB] [-stats] [-disasm] [-O]
+//	mjrun [-heap MiB] [-stats] [-disasm]
 //	      [-provenance] [-fr] [-fr-dump file] [-explain] [-top]
 //	      [-serve addr] [-fleet url] [-fleet-every N] [-instance id]
 //	      program.mj
@@ -66,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	heapMB := fs.Int("heap", 16, "managed heap size in MiB")
 	stats := fs.Bool("stats", false, "print GC and assertion statistics at exit")
 	disasm := fs.Bool("disasm", false, "print the compiled bytecode and exit")
-	optimize := fs.Bool("O", false, "run the peephole bytecode optimizer")
 	provenance := fs.Bool("provenance", false, "record every guest allocation's site (method:line) for violation reports and profiles")
 	fr := fs.Bool("fr", false, "arm the GC flight recorder (implies -provenance; dump with SIGQUIT or on violation)")
 	frDump := fs.String("fr-dump", "gcassert-fr.json", "file the flight recorder dumps bundles to (latest dump wins)")
@@ -85,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: mjrun [-heap MiB] [-stats] [-disasm] [-O] [-provenance] [-fr] [-fr-dump file] [-explain] [-top] [-serve addr] [-fleet url] [-fleet-every N] [-instance id] program.mj")
+		fmt.Fprintln(stderr, "usage: mjrun [-heap MiB] [-stats] [-disasm] [-provenance] [-fr] [-fr-dump file] [-explain] [-top] [-serve addr] [-fleet url] [-fleet-every N] [-instance id] program.mj")
 		return 2
 	}
 	if *heapMB < 0 || *heapMB > heap.MaxHeapBytes>>20 {
@@ -104,9 +103,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	unit, cerr := minivm.Compile(string(src))
 	if cerr != nil {
 		return dataErr(cerr)
-	}
-	if *optimize {
-		minivm.Optimize(unit)
 	}
 	if *disasm {
 		fmt.Fprint(stdout, minivm.DisassembleUnit(unit))

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"testing"
 
 	"gcassert"
@@ -69,6 +70,33 @@ func TestAssertingWorkloadsPass(t *testing.T) {
 				t.Errorf("expected assertion activity, got %+v", st)
 			}
 		})
+	}
+}
+
+// TestCensusLiveWordsMatchHeap runs each asserting workload with telemetry
+// and introspection on, collects, and requires the census's live-word total
+// to equal the collector's own live-word accounting at that instant — with
+// the workload's assertions off and on, since the ownership pre-phase marks
+// part of the live set.
+func TestCensusLiveWordsMatchHeap(t *testing.T) {
+	for _, w := range Asserting() {
+		for _, asserts := range []bool{false, true} {
+			w, asserts := w, asserts
+			t.Run(fmt.Sprintf("%s/asserts=%v", w.Name, asserts), func(t *testing.T) {
+				vm := gcassert.New(gcassert.Options{HeapBytes: w.Heap, Infrastructure: asserts,
+					Telemetry: true, Introspection: true})
+				run := w.New(vm, asserts)
+				run(0)
+				vm.Collect()
+				snap, ok := vm.LatestCensus()
+				if !ok {
+					t.Fatal("no census after Collect")
+				}
+				if live := vm.HeapStats().LiveWords; snap.TotalCellWords != live {
+					t.Errorf("census counts %d live words, the heap %d", snap.TotalCellWords, live)
+				}
+			})
+		}
 	}
 }
 

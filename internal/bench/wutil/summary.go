@@ -9,7 +9,7 @@ import (
 )
 
 // WriteGCSummary writes the standard end-of-run GC summary shared by the
-// command-line tools (gctrace, gcassert-bench -baseline, gcheap): collection
+// command-line tools (gctrace, gcheap): collection
 // counts, the event-stream-vs-GCStats cross-check, and pause percentiles.
 //
 // The cross-check exists because the telemetry event stream and the

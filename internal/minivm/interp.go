@@ -516,3 +516,10 @@ func (im *Image) run(pc, sp int, steps, limit uint64, code []Instr, iv []int64, 
 		}
 	}
 }
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}

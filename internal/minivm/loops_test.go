@@ -112,18 +112,3 @@ func TestLoopCompileErrors(t *testing.T) {
 	mustFailCompile(t, `class A {} class Main { void main() { for (;new A();) {} } }`, "must be int")
 	mustFailCompile(t, `class Main { void main() { for (int i = 0; i < 3) {} } }`, "expected")
 }
-
-func TestLoopOptimizeDifferential(t *testing.T) {
-	runBoth(t, `
-class Main {
-  void main() {
-    int total = 0;
-    for (int i = 0; i < 50; i = i + 1) {
-      if (i % (2 + 3) == 0) { continue; }
-      if (i > 8 * 5) { break; }
-      total = total + i * (1 + 1);
-    }
-    print(total);
-  }
-}`)
-}

@@ -19,8 +19,6 @@ type RunOptions struct {
 	Reporter gcassert.Reporter
 	// MaxSteps bounds guest execution (0 = unlimited).
 	MaxSteps uint64
-	// Optimize runs the peephole bytecode optimizer before execution.
-	Optimize bool
 	// FinalCollect forces a collection after main returns, so assertions
 	// placed near the end of the program are still checked (on by default
 	// in CompileAndRun).
@@ -55,9 +53,6 @@ func CompileAndRun(src string, opt RunOptions) (*Result, error) {
 	unit, err := Compile(src)
 	if err != nil {
 		return nil, err
-	}
-	if opt.Optimize {
-		Optimize(unit)
 	}
 	if opt.HeapBytes == 0 {
 		opt.HeapBytes = 16 << 20

@@ -4,7 +4,7 @@ import "fmt"
 
 // Bytecode verifier: an abstract interpreter over the type-tagged operand
 // stack, in the spirit of the JVM's class-file verifier. It proves, before
-// execution, that compiled (and optimized) code
+// execution, that compiled code
 //
 //   - never underflows or overflows its declared MaxStack,
 //   - only applies ref ops to refs and int ops to ints,
@@ -16,8 +16,7 @@ import "fmt"
 // The interpreter relies on exactly these properties — it tests neither pc
 // nor operand depth nor slot kind at run time, and it keeps references only
 // in the slots the collector scans — so Load verifies every method before
-// running guest code; the optimizer's output is additionally verified in
-// tests.
+// running guest code.
 
 // vkind is the abstract type of one stack slot.
 type vkind uint8
