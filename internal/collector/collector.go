@@ -62,22 +62,17 @@ type Hooks interface {
 	PreMark(c *Collector)
 	// OnEdge is called for a reference edge discovered during the normal
 	// scan — from a root (parent == heap.Nil, slot == -1) or from a parent
-	// object's slot — when the child carries assertion flags, or (if
-	// WantAllFirstMarks) for every first encounter. marked reports whether
-	// the child was already marked.
+	// object's slot — when the child carries assertion flags. marked
+	// reports whether the child was already marked.
 	OnEdge(c *Collector, parent heap.Addr, slot int, child heap.Addr, marked bool) EdgeAction
-	// WantAllFirstMarks asks the engine whether it needs OnEdge for every
-	// unmarked child even without assertion flags (instance counting).
-	// Consulted once per collection.
-	WantAllFirstMarks() bool
-	// PostMark runs after tracing completes, before sweep: volume-assertion
-	// checks and weak-registration pruning happen here.
+	// PostMark runs after tracing completes, before sweep: weak
+	// registrations of objects about to be swept are pruned here.
 	PostMark(c *Collector)
-	// CollectionCosts returns the per-kind cost rows of the collection that
-	// just finished sweeping (dead-verification counts accrue in the sweep),
-	// or nil when cost attribution is off. The returned slice is owned by
-	// the caller.
-	CollectionCosts() []AssertCost
+	// PostSweep runs after the sweep, which has counted the survivors
+	// (instance limits) and the reclaimed asserted-dead objects. It returns
+	// the collection's per-kind cost rows, or nil when cost attribution is
+	// off; the returned slice is owned by the caller.
+	PostSweep(c *Collector) []AssertCost
 }
 
 // Collector drives collections over a Space.
@@ -98,8 +93,6 @@ type Collector struct {
 	curParent   heap.Addr
 	curRootDesc string
 	col         *Collection
-	// allFirstMarks caches Hooks.WantAllFirstMarks for the current cycle.
-	allFirstMarks bool
 
 	// Observers are notified at both ends of every collection, in list
 	// order. The runtime fills the list once, when it is built.
@@ -176,10 +169,8 @@ func (c *Collector) Collect(reason Reason) Collection {
 	col.ObjectsFreed = sw.ObjectsFreed
 	col.ObjectsLive = sw.ObjectsLive
 	col.WordsFreed = sw.WordsFreed
-	// Cost rows are harvested after the sweep, which is where the
-	// dead-verification count (heap.Stats.DeadFreed) accrues.
 	if hooked {
-		col.AssertCost = c.hooks.CollectionCosts()
+		col.AssertCost = c.hooks.PostSweep(c)
 	}
 	col.TotalTime = time.Since(start)
 

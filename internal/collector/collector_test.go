@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"gcassert/internal/heap"
+	"gcassert/internal/heap/refmodel"
 )
 
 // sliceRoots is a test RootScanner over a plain slice.
@@ -48,29 +49,6 @@ func buildRandomGraph(t testing.TB, s *heap.Space, node heap.TypeID, n int, rng 
 	return objs
 }
 
-// reachable computes the reachability closure in plain Go — the oracle.
-func reachable(s *heap.Space, roots []heap.Addr) map[heap.Addr]bool {
-	seen := map[heap.Addr]bool{}
-	var stack []heap.Addr
-	for _, r := range roots {
-		if r != heap.Nil && !seen[r] {
-			seen[r] = true
-			stack = append(stack, r)
-		}
-	}
-	for len(stack) > 0 {
-		a := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		s.ForEachRef(a, func(_ int, t heap.Addr) {
-			if !seen[t] {
-				seen[t] = true
-				stack = append(stack, t)
-			}
-		})
-	}
-	return seen
-}
-
 // liveSet enumerates all allocated objects after a collection.
 func liveSet(s *heap.Space) map[heap.Addr]bool {
 	out := map[heap.Addr]bool{}
@@ -93,7 +71,9 @@ func checkCollectMatchesOracle(t *testing.T, infra bool, seed int64) {
 	}
 	roots.slots = append(roots.slots, heap.Nil) // nil roots are fine
 
-	want := reachable(s, roots.slots)
+	// The oracle reads the heap through the registry's Fields, not through
+	// ForEachRef, which the marker uses.
+	want := refmodel.FromSpace(s, roots.slots).Reachable()
 	c := New(s, roots, nil, infra)
 	col := c.Collect("test")
 	got := liveSet(s)
@@ -151,19 +131,17 @@ func TestBaseAndInfraIdenticalLiveSets(t *testing.T) {
 
 // recordingHooks records OnEdge invocations and can request actions.
 type recordingHooks struct {
-	pre, post int
-	edges     []heap.Addr
-	action    func(child heap.Addr, marked bool) EdgeAction
-	wantAll   bool
-	paths     [][]heap.Addr
-	collector *Collector
+	pre, post, swept int
+	edges            []heap.Addr
+	action           func(child heap.Addr, marked bool) EdgeAction
+	paths            [][]heap.Addr
 }
 
-func (h *recordingHooks) PreMark(c *Collector)          { h.pre++ }
-func (h *recordingHooks) PostMark(c *Collector)         { h.post++ }
-func (h *recordingHooks) CollectionCosts() []AssertCost { return nil }
-func (h *recordingHooks) WantAllFirstMarks() bool {
-	return h.wantAll
+func (h *recordingHooks) PreMark(c *Collector)  { h.pre++ }
+func (h *recordingHooks) PostMark(c *Collector) { h.post++ }
+func (h *recordingHooks) PostSweep(c *Collector) []AssertCost {
+	h.swept++
+	return nil
 }
 func (h *recordingHooks) OnEdge(c *Collector, parent heap.Addr, slot int, child heap.Addr, marked bool) EdgeAction {
 	h.edges = append(h.edges, child)
@@ -174,7 +152,7 @@ func (h *recordingHooks) OnEdge(c *Collector, parent heap.Addr, slot int, child 
 	return EdgeProceed
 }
 
-func TestHooksLifecycleAndAllFirstMarks(t *testing.T) {
+func TestHooksLifecycleAndFlaggedEdges(t *testing.T) {
 	s, node := testWorld(t, 1<<20)
 	a, _ := s.Allocate(node, 0)
 	b, _ := s.Allocate(node, 0)
@@ -183,32 +161,24 @@ func TestHooksLifecycleAndAllFirstMarks(t *testing.T) {
 	s.SetRef(b, 0, cc)
 	roots := &sliceRoots{slots: []heap.Addr{a}}
 
-	h := &recordingHooks{wantAll: true}
+	// Without assertion flags: each phase hook once, no edge callbacks.
+	h := &recordingHooks{}
 	c := New(s, roots, h, true)
 	c.Collect("t")
-	if h.pre != 1 || h.post != 1 {
-		t.Errorf("pre=%d post=%d", h.pre, h.post)
+	if h.pre != 1 || h.post != 1 || h.swept != 1 {
+		t.Errorf("pre=%d post=%d swept=%d", h.pre, h.post, h.swept)
 	}
-	// With wantAll, every first mark produces an edge callback: a, b, cc.
-	if len(h.edges) != 3 {
-		t.Errorf("edges = %v", h.edges)
+	if len(h.edges) != 0 {
+		t.Errorf("unflagged edges reported: %v", h.edges)
 	}
 
-	// Without wantAll and without assertion flags, no callbacks at all.
+	// A flagged object is reported.
+	s.SetFlag(cc, heap.FlagUnshared)
 	h2 := &recordingHooks{}
 	c2 := New(s, roots, h2, true)
 	c2.Collect("t")
-	if len(h2.edges) != 0 {
-		t.Errorf("unflagged edges reported: %v", h2.edges)
-	}
-
-	// A flagged object is reported even without wantAll.
-	s.SetFlag(cc, heap.FlagUnshared)
-	h3 := &recordingHooks{}
-	c3 := New(s, roots, h3, true)
-	c3.Collect("t")
-	if len(h3.edges) != 1 || h3.edges[0] != cc {
-		t.Errorf("flagged edge: %v", h3.edges)
+	if len(h2.edges) != 1 || h2.edges[0] != cc {
+		t.Errorf("flagged edge: %v", h2.edges)
 	}
 }
 

@@ -45,7 +45,6 @@ func (c *Collector) visitBase(slot int, t heap.Addr) {
 func (c *Collector) markInfra(col *Collection) {
 	c.stack = c.stack[:0]
 	c.col = col
-	c.allFirstMarks = c.hooks != nil && c.hooks.WantAllFirstMarks()
 	c.roots.Roots(func(r Root) {
 		col.RootsScanned++
 		a := *r.Slot
@@ -55,7 +54,7 @@ func (c *Collector) markInfra(col *Collection) {
 		c.curRootDesc = r.Desc
 		flags := c.space.Flags(a)
 		marked := flags&heap.FlagMark != 0
-		if c.hooks != nil && (flags&heap.AssertFlags != 0 || (!marked && c.allFirstMarks)) {
+		if c.hooks != nil && flags&heap.AssertFlags != 0 {
 			switch c.hooks.OnEdge(c, heap.Nil, -1, a, marked) {
 			case EdgeClear:
 				*r.Slot = heap.Nil
@@ -93,11 +92,11 @@ func (c *Collector) drainInfra(col *Collection) {
 
 func (c *Collector) visitInfra(slot int, t heap.Addr) {
 	// One header load yields both the mark bit and the assertion flags; the
-	// engine is consulted only when a flag is set (or on first marks when it
-	// is counting instances), so the common edge costs a mask test.
+	// engine is consulted only when a flag is set, so the common edge costs
+	// a mask test.
 	flags := c.space.Flags(t)
 	marked := flags&heap.FlagMark != 0
-	if c.hooks != nil && (flags&heap.AssertFlags != 0 || (!marked && c.allFirstMarks)) {
+	if c.hooks != nil && flags&heap.AssertFlags != 0 {
 		switch c.hooks.OnEdge(c, c.curParent, slot, t, marked) {
 		case EdgeClear:
 			c.space.ClearRefSlot(c.curParent, slot)

@@ -17,7 +17,7 @@ import (
 // per-edge fast path, which stays untimed even when attribution is on.
 // Work counts are exact (deltas of the engine's existing check counters);
 // times cover only the flagged slow paths (dead/unshared/ownedby handling,
-// the ownership pre-phase, and the PostMark instance sweep), so "checks"
+// the ownership pre-phase, and the PostSweep instance comparison), so "checks"
 // are precise and "ns" is an honest lower bound that never perturbs the
 // loop it measures.
 
@@ -61,10 +61,10 @@ func (e *Engine) EnableCostAttribution() {
 // CostAttributionEnabled reports whether attribution is on.
 func (e *Engine) CostAttributionEnabled() bool { return e.costs != nil }
 
-// CollectionCosts implements collector.Hooks: the per-kind cost rows of the
-// collection that just finished sweeping, or nil when attribution is
-// disabled. The collector stamps the rows onto the Collection record.
-func (e *Engine) CollectionCosts() []collector.AssertCost {
+// costRows returns the per-kind cost rows of the collection that just
+// finished sweeping, or nil when attribution is disabled. PostSweep hands
+// them to the collector, which stamps them onto the Collection record.
+func (e *Engine) costRows() []collector.AssertCost {
 	cs := e.costs
 	if cs == nil {
 		return nil

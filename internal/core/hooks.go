@@ -28,8 +28,7 @@ func (e *Engine) PreMark(c *collector.Collector) {
 // OnEdge implements collector.Hooks. It is the per-edge assertion check the
 // paper piggybacks on tracing: one header-flag load per edge, then
 //
-//   - first encounter (unmarked child): assert-dead check and instance
-//     counting;
+//   - first encounter (unmarked child): assert-dead check;
 //   - re-encounter (marked child): assert-unshared check;
 //   - either way: an ownee reached outside the ownership phase without its
 //     owned flag is an assert-ownedby violation.
@@ -37,27 +36,20 @@ func (e *Engine) OnEdge(c *collector.Collector, parent heap.Addr, slot int, chil
 	s := e.space
 	f := s.Flags(child)
 	act := collector.EdgeProceed
-	if !marked {
-		if f&heap.FlagDead != 0 {
-			// Flagged slow path: timed when attribution is on. The unflagged
-			// fast path above stays free of any attribution branch.
-			if cs := e.costs; cs != nil {
-				t0 := time.Now()
-				act = e.onDeadReachable(c, child, f)
-				cs.addSince(KindDead, t0)
-			} else {
-				act = e.onDeadReachable(c, child, f)
-			}
-			if act == collector.EdgeClear {
-				return act
-			}
+	if !marked && f&heap.FlagDead != 0 {
+		// Flagged slow path: timed when attribution is on. The unflagged
+		// fast path above stays free of any attribution branch.
+		if cs := e.costs; cs != nil {
+			t0 := time.Now()
+			act = e.onDeadReachable(c, child, f)
+			cs.addSince(KindDead, t0)
+		} else {
+			act = e.onDeadReachable(c, child, f)
 		}
-		if len(e.tracked) > 0 {
-			if t := s.TypeOf(child); int(t) < len(e.counts) {
-				e.counts[t]++
-			}
+		if act == collector.EdgeClear {
+			return act
 		}
-	} else if f&heap.FlagUnshared != 0 {
+	} else if marked && f&heap.FlagUnshared != 0 {
 		e.stats.UnsharedChecks++
 		if f&flagLogged == 0 {
 			if cs := e.costs; cs != nil {
@@ -165,42 +157,10 @@ func (e *Engine) unownedMessage(obj heap.Addr) string {
 	return fmt.Sprintf("asserted owner is %s@%#x, which does not reach the object", e.space.TypeName(owner), uint32(owner))
 }
 
-// WantAllFirstMarks implements collector.Hooks: the engine needs to see
-// every first-marked object only while instance counting is active.
-func (e *Engine) WantAllFirstMarks() bool { return len(e.tracked) > 0 }
-
-// PostMark implements collector.Hooks: volume-assertion checks and weak
-// pruning of every registration table, run after marking and before sweep.
+// PostMark implements collector.Hooks: weak pruning of every registration
+// table, run after marking and before sweep.
 func (e *Engine) PostMark(c *collector.Collector) {
 	s := e.space
-
-	// assert-instances: compare per-type counts against limits (§2.4.1).
-	// The comparison loop is the kind's entire cost (per-edge counting rides
-	// the untimed mark fast path), so it is billed wholesale.
-	var instT0 time.Time
-	if e.costs != nil {
-		instT0 = time.Now()
-	}
-	for _, t := range e.tracked {
-		e.stats.InstanceChecks++
-		if e.counts[t] > e.limits[t] {
-			e.stats.InstanceViolations++
-			e.report(&Violation{
-				Kind:     KindInstances,
-				GC:       c.GCCount(),
-				TypeName: s.Registry().Name(t),
-				Message:  fmt.Sprintf("%d instances live, limit %d", e.counts[t], e.limits[t]),
-			})
-		}
-	}
-	if cs := e.costs; cs != nil {
-		cs.addSince(KindInstances, instT0)
-	}
-	copy(e.lastCounts, e.counts)
-	for i := range e.counts {
-		e.counts[i] = 0
-	}
-
 	e.pruneWeak()
 
 	// Reset per-cycle duplicate suppression.
@@ -210,6 +170,35 @@ func (e *Engine) PostMark(c *collector.Collector) {
 		}
 	}
 	e.logged = e.logged[:0]
+}
+
+// PostSweep implements collector.Hooks: assert-instances compares each
+// tracked type's survivors, which the sweep counted, against its limit
+// (§2.4.1). The comparison loop is the kind's entire cost (the counting
+// rides the untimed sweep), so it is billed wholesale. It returns
+// the cycle's cost rows (attrib.go).
+func (e *Engine) PostSweep(c *collector.Collector) []collector.AssertCost {
+	var instT0 time.Time
+	if e.costs != nil {
+		instT0 = time.Now()
+	}
+	s := e.space
+	for _, t := range e.tracked {
+		e.stats.InstanceChecks++
+		if n := s.LiveByType(t); n > e.limits[t] {
+			e.stats.InstanceViolations++
+			e.report(&Violation{
+				Kind:     KindInstances,
+				GC:       c.GCCount(),
+				TypeName: s.Registry().Name(t),
+				Message:  fmt.Sprintf("%d instances live, limit %d", n, e.limits[t]),
+			})
+		}
+	}
+	if cs := e.costs; cs != nil {
+		cs.addSince(KindInstances, instT0)
+	}
+	return e.costRows()
 }
 
 // pruneWeak drops registrations for objects whose mark bit is clear. It must

@@ -103,7 +103,6 @@ func (e *Engine) ownVisit(slot int, t heap.Addr) {
 		}
 		if f&heap.FlagMark == 0 {
 			s.SetMark(t)
-			e.countInstance(t)
 			e.owneeQueue = append(e.owneeQueue, t)
 		}
 		// Reached from an owner: consider it owned (for overlapping regions
@@ -116,7 +115,6 @@ func (e *Engine) ownVisit(slot int, t heap.Addr) {
 		// Another owner: mark it and stop — it is scanned independently.
 		if f&heap.FlagMark == 0 {
 			s.SetMark(t)
-			e.countInstance(t)
 		}
 		return
 	}
@@ -129,18 +127,7 @@ func (e *Engine) ownVisit(slot int, t heap.Addr) {
 	}
 
 	s.SetMark(t)
-	e.countInstance(t)
 	e.ostack = append(e.ostack, t)
-}
-
-// countInstance counts a newly marked object for assert-instances tracking.
-func (e *Engine) countInstance(a heap.Addr) {
-	if len(e.tracked) == 0 {
-		return
-	}
-	if t := e.space.TypeOf(a); int(t) < len(e.counts) {
-		e.counts[t]++
-	}
 }
 
 // ownershipPath snapshots the owner-to-current-object path from the

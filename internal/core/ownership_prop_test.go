@@ -4,9 +4,10 @@ package core_test
 // mutator builds a graph, asserts random owner/ownee pairs (re-assigning
 // ownees, nesting and overlapping regions), drops roots so ownees and owners
 // die and their cells are reused, and collects. A naive model of the same
-// heap in Go maps predicts, per full collection, the exact set of freed
-// objects, the assert-ownedby and improper-ownership violation sets, the
-// ownee-check count and OwnedPairsLive; after every sweep the ownee side
+// heap (internal/heap/refmodel) predicts, per full collection, the exact set
+// of freed objects, the assert-ownedby and improper-ownership violation sets,
+// the ownee-check count, the live-instance count and OwnedPairsLive; after
+// every sweep the ownee side
 // table is checked against its invariant (DESIGN.md, side-table
 // invariant 2) and the heap against its own (heap.Space.Verify, invariants
 // 1 and 3–7).
@@ -14,12 +15,14 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"gcassert/internal/core"
 	"gcassert/internal/heap"
+	"gcassert/internal/heap/refmodel"
 	"gcassert/internal/rt"
 )
 
@@ -30,114 +33,12 @@ const (
 	propSeeds  = 40
 )
 
-// ownModel is the oracle's copy of the heap and of the ownership registry.
+// ownModel is the oracle's copy of the heap — Refs holds every allocated
+// node the mutator made, Roots mirrors the frame's slots — and of the
+// ownership registry.
 type ownModel struct {
-	edges   map[heap.Addr][2]heap.Addr // every allocated node the mutator made
-	roots   []heap.Addr                // mirror of the frame's slots
-	ownerOf map[heap.Addr]heap.Addr    // the naive registry
-	order   []heap.Addr                // owners with a record, in creation order
-}
-
-func (m *ownModel) hasRecord(a heap.Addr) bool {
-	for _, o := range m.order {
-		if o == a {
-			return true
-		}
-	}
-	return false
-}
-
-// reachable is the plain closure from the roots.
-func (m *ownModel) reachable() map[heap.Addr]bool {
-	seen := map[heap.Addr]bool{}
-	var work []heap.Addr
-	for _, r := range m.roots {
-		if r != heap.Nil && !seen[r] {
-			seen[r] = true
-			work = append(work, r)
-		}
-	}
-	for len(work) > 0 {
-		a := work[0]
-		work = work[1:]
-		for _, t := range m.edges[a] {
-			if t != heap.Nil && !seen[t] {
-				seen[t] = true
-				work = append(work, t)
-			}
-		}
-	}
-	return seen
-}
-
-// prediction is what one full collection must do.
-type prediction struct {
-	marked   map[heap.Addr]bool // the survivors
-	ownedBy  map[heap.Addr]bool // expected assert-ownedby objects
-	improper map[heap.Addr]bool // expected improper-ownership objects
-	checked  uint64             // ownee edges met in the ownership phase
-}
-
-// predict runs the paper's trace order naively: a breadth-first region scan
-// from each owner in record order (never marking the owner from its own
-// scan, stopping at other owners and at anything an earlier scan marked,
-// scanning through ownees), then the root scan over what is left.
-func (m *ownModel) predict() prediction {
-	p := prediction{marked: map[heap.Addr]bool{}, ownedBy: map[heap.Addr]bool{}, improper: map[heap.Addr]bool{}}
-	owned := map[heap.Addr]bool{} // ownees some owner scan met (FlagOwned)
-	for _, o := range m.order {
-		work := []heap.Addr{o}
-		for len(work) > 0 {
-			a := work[0]
-			work = work[1:]
-			for _, t := range m.edges[a] {
-				switch asserted, ownee := m.ownerOf[t]; {
-				case t == heap.Nil || t == o:
-				case ownee:
-					p.checked++
-					if asserted != o {
-						p.improper[t] = true
-					}
-					owned[t] = true
-					if !p.marked[t] {
-						p.marked[t] = true
-						work = append(work, t)
-					}
-				case m.hasRecord(t):
-					p.marked[t] = true
-				case !p.marked[t]:
-					p.marked[t] = true
-					work = append(work, t)
-				}
-			}
-		}
-	}
-	var work []heap.Addr
-	meet := func(t heap.Addr) {
-		if _, ownee := m.ownerOf[t]; ownee && !owned[t] {
-			p.ownedBy[t] = true
-			owned[t] = true
-		}
-		if !p.marked[t] {
-			p.marked[t] = true
-			work = append(work, t)
-		}
-	}
-	for _, r := range m.roots {
-		if r != heap.Nil {
-			meet(r)
-		}
-	}
-	for len(work) > 0 {
-		a := work[0]
-		work = work[1:]
-		for _, t := range m.edges[a] {
-			if t != heap.Nil {
-				meet(t)
-			}
-		}
-	}
-	return p
+	refmodel.Graph
+	refmodel.Ownership
 }
 
 // sweep applies a collection's outcome to the model: objects for which
@@ -146,23 +47,23 @@ func (m *ownModel) predict() prediction {
 // its dead ownees, and a record left without ownees is dropped.
 func (m *ownModel) sweep(alive func(heap.Addr) bool) {
 	live := map[heap.Addr]int{}
-	for oe, o := range m.ownerOf {
+	for oe, o := range m.OwnerOf {
 		if !alive(oe) || !alive(o) {
-			delete(m.ownerOf, oe)
+			delete(m.OwnerOf, oe)
 		} else {
 			live[o]++
 		}
 	}
-	keep := m.order[:0]
-	for _, o := range m.order {
+	keep := m.Order[:0]
+	for _, o := range m.Order {
 		if live[o] > 0 {
 			keep = append(keep, o)
 		}
 	}
-	m.order = keep
-	for a := range m.edges {
+	m.Order = keep
+	for a := range m.Refs {
 		if !alive(a) {
-			delete(m.edges, a)
+			delete(m.Refs, a)
 		}
 	}
 }
@@ -196,13 +97,18 @@ func newOwnWorld(t *testing.T, seed int64, tally *propTally) *ownWorld {
 	w.node = w.vm.Define("N", heap.Field{Name: "a", Ref: true}, heap.Field{Name: "b", Ref: true})
 	w.th = w.vm.NewThread("main")
 	w.fr = w.th.Push(propRoots)
-	w.model = ownModel{edges: map[heap.Addr][2]heap.Addr{}, roots: make([]heap.Addr, propRoots), ownerOf: map[heap.Addr]heap.Addr{}}
+	// A limit no collection reaches: LiveInstances then counts every
+	// survivor, the pre-phase's marks included.
+	w.vm.AssertInstances(w.node, 1<<40)
+	w.model.Refs = map[heap.Addr][]heap.Addr{}
+	w.model.Roots = make([]heap.Addr, propRoots)
+	w.model.OwnerOf = map[heap.Addr]heap.Addr{}
 	return w
 }
 
 func (w *ownWorld) nodes() []heap.Addr {
-	out := make([]heap.Addr, 0, len(w.model.edges))
-	for a := range w.model.edges {
+	out := make([]heap.Addr, 0, len(w.model.Refs))
+	for a := range w.model.Refs {
 		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -211,42 +117,40 @@ func (w *ownWorld) nodes() []heap.Addr {
 
 func (w *ownWorld) newNode() heap.Addr {
 	a := w.th.New(w.node)
-	if _, dup := w.model.edges[a]; dup {
+	if _, dup := w.model.Refs[a]; dup {
 		w.t.Fatalf("allocator handed out live address %#x", uint32(a))
 	}
 	if w.deadOwnees[a] {
 		w.tally.owneeCellReuse++
 		delete(w.deadOwnees, a)
 	}
-	w.model.edges[a] = [2]heap.Addr{}
+	w.model.Refs[a] = make([]heap.Addr, 2)
 	return a
 }
 
 func (w *ownWorld) setEdge(a heap.Addr, slot int, t heap.Addr) {
 	w.vm.Space().SetRef(a, slot, t)
-	e := w.model.edges[a]
-	e[slot] = t
-	w.model.edges[a] = e
+	w.model.Refs[a][slot] = t
 }
 
 func (w *ownWorld) setRoot(i int, a heap.Addr) {
 	w.fr.Set(i, a)
-	w.model.roots[i] = a
+	w.model.Roots[i] = a
 }
 
 func (w *ownWorld) assertOwnedBy(owner, ownee heap.Addr) {
 	m := &w.model
-	if prev, ok := m.ownerOf[ownee]; ok && prev != owner {
+	if prev, ok := m.OwnerOf[ownee]; ok && prev != owner {
 		w.tally.reassigned++
 	}
-	if !m.hasRecord(owner) {
-		m.order = append(m.order, owner)
+	if !slices.Contains(m.Order, owner) {
+		m.Order = append(m.Order, owner)
 		if w.deadOwners[owner] {
 			w.tally.ownerAddrReuse++
 			delete(w.deadOwners, owner)
 		}
 	}
-	m.ownerOf[ownee] = owner
+	m.OwnerOf[ownee] = owner
 	w.vm.AssertOwnedBy(owner, ownee)
 }
 
@@ -265,7 +169,7 @@ func (w *ownWorld) mutate(fresh int) {
 	// Like a real mutator it works only with what it can reach: the new
 	// nodes and whatever was reachable when it started (no collection runs
 	// inside mutate, so holding those in unrooted locals is legitimate).
-	reach := w.model.reachable()
+	reach := w.model.Reachable()
 	var all []heap.Addr
 	for _, a := range w.nodes() {
 		if reach[a] {
@@ -305,7 +209,7 @@ func (w *ownWorld) mutate(fresh int) {
 	}
 	var owned []heap.Addr
 	for _, a := range all {
-		if _, ok := w.model.ownerOf[a]; ok {
+		if _, ok := w.model.OwnerOf[a]; ok {
 			owned = append(owned, a)
 		}
 	}
@@ -334,7 +238,7 @@ func (w *ownWorld) check(when string) {
 	if err := eng.CheckOwneeTable(); err != nil {
 		w.t.Fatalf("%s: side-table invariant: %v", when, err)
 	}
-	if got, want := eng.OwnedPairsLive(), len(w.model.ownerOf); got != want {
+	if got, want := eng.OwnedPairsLive(), len(w.model.OwnerOf); got != want {
 		w.t.Fatalf("%s: OwnedPairsLive = %d, model has %d", when, got, want)
 	}
 }
@@ -342,7 +246,7 @@ func (w *ownWorld) check(when string) {
 // noteDeaths records registered objects about to disappear, given which
 // objects survive.
 func (w *ownWorld) noteDeaths(alive func(heap.Addr) bool) {
-	for oe, o := range w.model.ownerOf {
+	for oe, o := range w.model.OwnerOf {
 		if !alive(oe) {
 			w.deadOwnees[oe] = true
 		}
@@ -363,15 +267,15 @@ func (w *ownWorld) noteDeaths(alive func(heap.Addr) bool) {
 func (w *ownWorld) fullGC() {
 	t, m := w.t, &w.model
 	w.fr.Truncate(propRoots)
-	m.roots = m.roots[:propRoots]
-	want := m.predict()
+	m.Roots = m.Roots[:propRoots]
+	want := m.Collect(m.Ownership)
 pin:
 	for _, a := range w.nodes() {
-		for _, tgt := range m.edges[a] {
-			if want.marked[a] && tgt != heap.Nil && !want.marked[tgt] {
+		for _, tgt := range m.Refs[a] {
+			if want.Survivors[a] && tgt != heap.Nil && !want.Survivors[tgt] {
 				w.fr.Add(tgt)
-				m.roots = append(m.roots, tgt)
-				want = m.predict()
+				m.Roots = append(m.Roots, tgt)
+				want = m.Collect(m.Ownership)
 				goto pin
 			}
 		}
@@ -388,11 +292,11 @@ pin:
 			t.Fatalf("unexpected or duplicate violation:\n%s", v.String())
 		}
 		set[v.Object] = true
-		if owner := fmt.Sprintf("@%#x", uint32(m.ownerOf[v.Object])); !strings.Contains(v.Message, owner) {
+		if owner := fmt.Sprintf("@%#x", uint32(m.OwnerOf[v.Object])); !strings.Contains(v.Message, owner) {
 			t.Fatalf("%s on %#x does not name asserted owner %s: %q", v.Kind, uint32(v.Object), owner, v.Message)
 		}
 		for i := 0; i+1 < len(v.Path); i++ {
-			if e := m.edges[v.Path[i].Addr]; e[0] != v.Path[i+1].Addr && e[1] != v.Path[i+1].Addr {
+			if !m.HasEdge(v.Path[i].Addr, v.Path[i+1].Addr) {
 				t.Fatalf("reported path has no edge %#x -> %#x:\n%s", uint32(v.Path[i].Addr), uint32(v.Path[i+1].Addr), v.String())
 			}
 		}
@@ -400,19 +304,22 @@ pin:
 			t.Fatalf("reported path does not end at the object:\n%s", v.String())
 		}
 	}
-	sameSet(t, "assert-ownedby", got[core.KindOwnedBy], want.ownedBy)
-	sameSet(t, "improper-ownership", got[core.KindImproperOwnership], want.improper)
-	w.tally.ownedBy += len(want.ownedBy)
-	w.tally.improper += len(want.improper)
-	if d := w.vm.Engine().Stats().OwneesChecked - checked0; d != want.checked {
-		t.Fatalf("OwneesChecked grew by %d, model met %d ownee edges", d, want.checked)
+	sameSet(t, "assert-ownedby", got[core.KindOwnedBy], want.OwnedBy)
+	sameSet(t, "improper-ownership", got[core.KindImproperOwnership], want.Improper)
+	w.tally.ownedBy += len(want.OwnedBy)
+	w.tally.improper += len(want.Improper)
+	if d := w.vm.Engine().Stats().OwneesChecked - checked0; d != want.Checked {
+		t.Fatalf("OwneesChecked grew by %d, model met %d ownee edges", d, want.Checked)
 	}
-	for a := range m.edges {
-		if w.vm.Space().Contains(a) != want.marked[a] {
-			t.Fatalf("%#x: allocated=%v after the collection, model says %v", uint32(a), !want.marked[a], want.marked[a])
+	for a := range m.Refs {
+		if w.vm.Space().Contains(a) != want.Survivors[a] {
+			t.Fatalf("%#x: allocated=%v after the collection, model says %v", uint32(a), !want.Survivors[a], want.Survivors[a])
 		}
 	}
-	alive := func(a heap.Addr) bool { return want.marked[a] }
+	if n, _ := w.vm.Engine().LiveInstances(w.node); n != int64(len(want.Survivors)) {
+		t.Fatalf("LiveInstances = %d, model keeps %d", n, len(want.Survivors))
+	}
+	alive := func(a heap.Addr) bool { return want.Survivors[a] }
 	w.noteDeaths(alive)
 	m.sweep(alive)
 	w.check("after full collection")

@@ -533,3 +533,34 @@ func TestDeadFreedCountsFlaggedCellsOnly(t *testing.T) {
 		t.Fatalf("DeadFreed moved to %d on an empty heap", s.Stats().DeadFreed)
 	}
 }
+
+// TestSweepCountsLiveByType: once CountLiveByType is on, each sweep counts
+// its survivors per TypeID, small cells and large spans alike, and a type
+// registered after the sweep reads 0.
+func TestSweepCountsLiveByType(t *testing.T) {
+	reg, node, _ := testRegistry(t)
+	s := NewSpace(reg, 1<<20)
+	live := func(typ TypeID, n int) { s.SetMark(mustAlloc(t, s, typ, n)) }
+	live(node, 0)
+	s.Sweep()
+	if got := s.LiveByType(node); got != 0 {
+		t.Fatalf("counted %d survivors before CountLiveByType", got)
+	}
+	s.CountLiveByType()
+	live(node, 0)
+	live(node, 0)
+	live(TWordArray, BlockWords) // a large span
+	mustAlloc(t, s, node, 0)
+	mustAlloc(t, s, TWordArray, BlockWords)
+	s.Sweep()
+	if n, w := s.LiveByType(node), s.LiveByType(TWordArray); n != 2 || w != 1 {
+		t.Fatalf("LiveByType = %d nodes, %d word arrays; want 2 and 1", n, w)
+	}
+	s.Sweep() // nothing marked
+	if n, w := s.LiveByType(node), s.LiveByType(TWordArray); n != 0 || w != 0 {
+		t.Fatalf("an all-dead sweep left %d nodes, %d word arrays", n, w)
+	}
+	if got := s.LiveByType(reg.Define("Late")); got != 0 {
+		t.Fatalf("a type registered after the sweep reads %d", got)
+	}
+}

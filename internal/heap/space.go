@@ -110,6 +110,10 @@ type Space struct {
 	// the sweep clears for every cell it frees.
 	tables []*CellTable
 
+	// liveByType is nil until CountLiveByType; from then on every sweep
+	// refills it with its survivors per TypeID.
+	liveByType []int64
+
 	stats Stats
 }
 

@@ -1,6 +1,9 @@
 package heap
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // SweepResult summarizes one sweep pass.
 type SweepResult struct {
@@ -17,7 +20,8 @@ type SweepResult struct {
 // the block pool. It visits allocated cells only and stores into no free
 // cell: it costs what was allocated, not what the heap holds. Reclaimed
 // objects whose header carries FlagDead are counted into Stats.DeadFreed,
-// the assertion engine's DeadVerified.
+// the assertion engine's DeadVerified; once CountLiveByType is on, each
+// block's survivors are counted per TypeID right after it is swept.
 //
 // Sweep corresponds to the sweep phase of the paper's MarkSweep collector;
 // the collector package calls it after tracing.
@@ -26,11 +30,19 @@ func (s *Space) Sweep() SweepResult {
 	for class := range s.partial {
 		s.partial[class] = s.partial[class][:0]
 	}
+	if s.liveByType != nil {
+		n := s.reg.NumTypes()
+		s.liveByType = slices.Grow(s.liveByType[:0], n)[:n]
+		clear(s.liveByType)
+	}
 	for bi := uint32(0); bi < s.nblocks; bi++ {
 		b := &s.blocks[bi]
 		switch {
 		case b.class >= 0:
 			s.sweepSmallBlock(bi, b, &res)
+			if s.liveByType != nil && b.class >= 0 {
+				s.countLive(bi, b)
+			}
 		case b.class == blkLargeHead:
 			s.sweepLargeSpan(bi, b, &res)
 		}
@@ -89,11 +101,28 @@ func (s *Space) sweepSmallBlock(bi uint32, b *blockInfo, res *SweepResult) {
 	}
 }
 
+// countLive adds the survivors of a carved block the sweep has just left to
+// liveByType. The sweep loaded their headers a moment before, so the loads
+// hit the cache, and the sweep loop itself carries no counting branch.
+func (s *Space) countLive(bi uint32, b *blockInfo) {
+	cellWords := classSizes[b.class]
+	base := blockStart(bi).word()
+	for w := range b.allocBits {
+		for m := b.cellBits(w); m != 0; m &= m - 1 {
+			c := w<<6 + bits.TrailingZeros64(m)
+			s.liveByType[headerType(s.words[base+uint32(c*cellWords)])]++
+		}
+	}
+}
+
 func (s *Space) sweepLargeSpan(bi uint32, b *blockInfo, res *SweepResult) {
 	hw := blockStart(bi).word()
 	h := s.words[hw]
 	if h&uint64(FlagMark) != 0 {
 		s.words[hw] = h &^ uint64(FlagMark)
+		if s.liveByType != nil {
+			s.liveByType[headerType(h)]++
+		}
 		return
 	}
 	if h&uint64(FlagDead) != 0 {
@@ -110,6 +139,24 @@ func (s *Space) sweepLargeSpan(bi uint32, b *blockInfo, res *SweepResult) {
 	}
 	res.ObjectsFreed++
 	res.WordsFreed += n * BlockWords
+}
+
+// CountLiveByType makes every later Sweep count its survivors per TypeID.
+// It is enable-only; the assertion engine turns it on when the first
+// instance limit is registered (§2.4.1).
+func (s *Space) CountLiveByType() {
+	if s.liveByType == nil {
+		s.liveByType = []int64{}
+	}
+}
+
+// LiveByType returns how many objects of type t survived the last Sweep,
+// or 0 when that sweep did not count or t was registered after it.
+func (s *Space) LiveByType(t TypeID) int64 {
+	if int(t) >= len(s.liveByType) {
+		return 0
+	}
+	return s.liveByType[t]
 }
 
 // ForEachObject calls fn for every allocated object, in address order,

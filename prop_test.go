@@ -11,10 +11,11 @@ import (
 	"testing/quick"
 
 	"gcassert"
+	"gcassert/internal/heap/refmodel"
 )
 
 // graphWorld is a randomized mutator: a pool of objects with two ref fields,
-// a set of root slots, and a Go-side mirror of every edge.
+// a set of root slots, and a reference-model mirror of every edge and root.
 type graphWorld struct {
 	t     testing.TB
 	vm    *gcassert.Runtime
@@ -23,8 +24,7 @@ type graphWorld struct {
 	fr    *gcassert.Frame
 	node  gcassert.TypeID
 	objs  []gcassert.Ref
-	edges map[gcassert.Ref][2]gcassert.Ref
-	roots []gcassert.Ref
+	model refmodel.Graph
 	nroot int
 }
 
@@ -42,7 +42,7 @@ func newGraphWorldOpts(t testing.TB, n, nroots int, rng *rand.Rand, opts gcasser
 		gcassert.Field{Name: "b", Ref: true})
 	w.th = w.vm.NewThread("main")
 	w.fr = w.th.Push(nroots)
-	w.edges = make(map[gcassert.Ref][2]gcassert.Ref)
+	w.model.Refs = make(map[gcassert.Ref][]gcassert.Ref)
 	for i := 0; i < n; i++ {
 		w.objs = append(w.objs, w.th.New(w.node))
 		// Root everything during construction so nothing dies early.
@@ -55,7 +55,7 @@ func newGraphWorldOpts(t testing.TB, n, nroots int, rng *rand.Rand, opts gcasser
 	// random edges are in place... simpler: no GC can run here because no
 	// allocation happens after the last New, so wiring edges now is safe.
 	for _, a := range w.objs {
-		var e [2]gcassert.Ref
+		e := make([]gcassert.Ref, 2)
 		for slot := 0; slot < 2; slot++ {
 			if rng.Intn(3) > 0 {
 				tgt := w.objs[rng.Intn(n)]
@@ -63,12 +63,12 @@ func newGraphWorldOpts(t testing.TB, n, nroots int, rng *rand.Rand, opts gcasser
 				e[slot] = tgt
 			}
 		}
-		w.edges[a] = e
+		w.model.Refs[a] = e
 	}
 	for i := 0; i < nroots; i++ {
 		r := w.objs[rng.Intn(n)]
 		w.fr.Set(i, r)
-		w.roots = append(w.roots, r)
+		w.model.Roots = append(w.model.Roots, r)
 	}
 	return w
 }
@@ -88,47 +88,6 @@ func (w *graphWorld) verify(when string) {
 	}
 }
 
-// reachable computes the oracle closure from the current roots.
-func (w *graphWorld) reachable() map[gcassert.Ref]bool {
-	seen := map[gcassert.Ref]bool{}
-	var stack []gcassert.Ref
-	for _, r := range w.roots {
-		if r != gcassert.Nil && !seen[r] {
-			seen[r] = true
-			stack = append(stack, r)
-		}
-	}
-	for len(stack) > 0 {
-		a := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, tgt := range w.edges[a] {
-			if tgt != gcassert.Nil && !seen[tgt] {
-				seen[tgt] = true
-				stack = append(stack, tgt)
-			}
-		}
-	}
-	return seen
-}
-
-// incomingCount counts edges into a (roots do not count as pointers, per the
-// paper's "incoming pointer" definition over heap objects — but a root plus
-// a heap pointer is still one heap pointer).
-func (w *graphWorld) incomingCount(a gcassert.Ref, live map[gcassert.Ref]bool) int {
-	n := 0
-	for src, e := range w.edges {
-		if !live[src] {
-			continue
-		}
-		for _, tgt := range e {
-			if tgt == a {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // TestPropertyDeadAssertionExact: for a random graph and a random object,
 // assert-dead fires at the next GC iff the object is reachable — no false
 // positives, no false negatives.
@@ -138,7 +97,7 @@ func TestPropertyDeadAssertionExact(t *testing.T) {
 		w := newGraphWorld(t, 120, 6, rng)
 		target := w.objs[rng.Intn(len(w.objs))]
 		w.vm.AssertDead(target)
-		want := w.reachable()[target]
+		want := w.model.DeadViolated(target)
 		w.collect()
 		got := len(w.rep.ByKind(gcassert.KindDead)) == 1
 		if got != want {
@@ -165,23 +124,15 @@ func TestPropertyUnsharedExact(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		w := newGraphWorld(t, 100, 5, rng)
 		target := w.objs[rng.Intn(len(w.objs))]
-		live := w.reachable()
+		live := w.model.Reachable()
 		if !live[target] {
 			return true // dead objects are never encountered: vacuous
 		}
 		w.vm.AssertUnshared(target)
-
-		// Oracle: encounters = incoming edges from live objects + root
-		// slots holding it.
-		enc := w.incomingCount(target, live)
-		for _, r := range w.roots {
-			if r == target {
-				enc++
-			}
-		}
+		enc := w.model.Encounters(target, live)
 		w.collect()
 		got := len(w.rep.ByKind(gcassert.KindUnshared)) > 0
-		want := enc > 1
+		want := w.model.UnsharedViolated(target)
 		if got != want {
 			t.Logf("seed %d: violation=%v, encounters=%d", seed, got, enc)
 			return false
@@ -205,7 +156,7 @@ func TestPropertyInstanceCountsMatchOracle(t *testing.T) {
 		if !ok {
 			return false
 		}
-		return n == int64(len(w.reachable()))
+		return n == int64(len(w.model.Reachable()))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -219,7 +170,7 @@ func TestPropertyViolationPathsAreReal(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		w := newGraphWorld(t, 120, 6, rng)
 		// Assert-dead a handful of reachable objects to force violations.
-		live := w.reachable()
+		live := w.model.Reachable()
 		nAsserted := 0
 		for _, o := range w.objs {
 			if live[o] && rng.Intn(10) == 0 {
@@ -240,7 +191,7 @@ func TestPropertyViolationPathsAreReal(t *testing.T) {
 				return false
 			}
 			isRoot := false
-			for _, r := range w.roots {
+			for _, r := range w.model.Roots {
 				if r == p[0].Addr {
 					isRoot = true
 				}
@@ -250,8 +201,7 @@ func TestPropertyViolationPathsAreReal(t *testing.T) {
 				return false
 			}
 			for i := 0; i+1 < len(p); i++ {
-				e := w.edges[p[i].Addr]
-				if e[0] != p[i+1].Addr && e[1] != p[i+1].Addr {
+				if !w.model.HasEdge(p[i].Addr, p[i+1].Addr) {
 					t.Logf("seed %d: fake edge in path", seed)
 					return false
 				}
@@ -288,7 +238,7 @@ func testCollectionPreservesGraph(t *testing.T, heapBytes, churn int) {
 		w := newGraphWorldOpts(t, 100, 5, rng, gcassert.Options{HeapBytes: heapBytes})
 		for round := 0; round < 5; round++ {
 			// Random mutations among currently-live objects.
-			live := w.reachable()
+			live := w.model.Reachable()
 			var liveList []gcassert.Ref
 			for a := range live {
 				liveList = append(liveList, a)
@@ -304,15 +254,13 @@ func testCollectionPreservesGraph(t *testing.T, heapBytes, churn int) {
 					tgt = liveList[rng.Intn(len(liveList))]
 				}
 				w.vm.SetRef(src, slot, tgt)
-				e := w.edges[src]
-				e[slot] = tgt
-				w.edges[src] = e
+				w.model.Refs[src][slot] = tgt
 			}
 			// Drop and rebind some roots.
-			for i := range w.roots {
+			for i := range w.model.Roots {
 				if rng.Intn(3) == 0 {
-					w.roots[i] = liveList[rng.Intn(len(liveList))]
-					w.fr.Set(i, w.roots[i])
+					w.model.Roots[i] = liveList[rng.Intn(len(liveList))]
+					w.fr.Set(i, w.model.Roots[i])
 				}
 			}
 			if churn > 0 {
@@ -330,8 +278,8 @@ func testCollectionPreservesGraph(t *testing.T, heapBytes, churn int) {
 			}
 			w.collect()
 			// Verify all reachable edges.
-			for a := range w.reachable() {
-				e := w.edges[a]
+			for a := range w.model.Reachable() {
+				e := w.model.Refs[a]
 				if w.vm.GetRef(a, 0) != e[0] || w.vm.GetRef(a, 1) != e[1] {
 					t.Logf("seed %d round %d: edge corruption", seed, round)
 					return false
