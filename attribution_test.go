@@ -30,10 +30,10 @@ func TestAttributionCheckCountsAreExact(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
 		vm := gcassert.New(gcassert.Options{
-			HeapBytes:       4 << 20,
-			Infrastructure:  true,
-			Reporter:        &gcassert.CollectingReporter{},
-			CostAttribution: true,
+			HeapBytes:      4 << 20,
+			Infrastructure: true,
+			Reporter:       &gcassert.CollectingReporter{},
+			Telemetry:      true,
 		})
 		node := vm.Define("Node",
 			gcassert.Field{Name: "a", Ref: true},
@@ -111,7 +111,7 @@ func TestAttributionCheckCountsAreExact(t *testing.T) {
 // TestTriggerExplainerForced pins the explicit-Collect wording and the
 // occupancy/rate fields stamped on a forced collection.
 func TestTriggerExplainerForced(t *testing.T) {
-	vm := gcassert.New(gcassert.Options{HeapBytes: 2 << 20, Infrastructure: true, CostAttribution: true})
+	vm := gcassert.New(gcassert.Options{HeapBytes: 2 << 20, Infrastructure: true, Telemetry: true})
 	node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
 	th := vm.NewThread("main")
 	fr := th.Push(1)
@@ -134,7 +134,7 @@ func TestTriggerExplainerForced(t *testing.T) {
 func TestTriggerExplainerExhaustion(t *testing.T) {
 	vm := gcassert.New(gcassert.Options{
 		HeapBytes: 1 << 20, Infrastructure: true,
-		Telemetry: true, CostAttribution: true,
+		Telemetry: true,
 	})
 	node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
 	th := vm.NewThread("main")
@@ -166,7 +166,7 @@ func TestTriggerExplainerExhaustion(t *testing.T) {
 // TestPressureStats checks the mutator-side snapshot: per-thread totals,
 // the occupancy timeline, and the allocation-rate EWMA.
 func TestPressureStats(t *testing.T) {
-	vm := gcassert.New(gcassert.Options{HeapBytes: 2 << 20, Infrastructure: true, CostAttribution: true})
+	vm := gcassert.New(gcassert.Options{HeapBytes: 2 << 20, Infrastructure: true, Telemetry: true})
 	node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
 	th := vm.NewThread("main")
 	fr := th.Push(1)
@@ -208,7 +208,7 @@ func TestPressureStats(t *testing.T) {
 func TestLiveStreamUnderCollections(t *testing.T) {
 	vm := gcassert.New(gcassert.Options{
 		HeapBytes: 16 << 20, Infrastructure: true,
-		Telemetry: true, CostAttribution: true,
+		Telemetry: true,
 	})
 	node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
 	th := vm.NewThread("main")

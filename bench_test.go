@@ -188,18 +188,18 @@ func BenchmarkAblationOwneeScaling(b *testing.B) {
 //     escaping Collection record and the root-scan closure),
 //   - the layer's accessor reports it off.
 //
-// so `go test -bench BenchmarkLayersOff` fails loudly on a regression. The
-// *On benchmarks below measure each layer on.
+// so `go test -bench BenchmarkLayersOff` fails loudly on a regression.
+// BenchmarkLayersOn measures each layer on.
 func BenchmarkLayersOff(b *testing.B) {
 	layers := []struct {
 		name string
 		off  func(vm *gcassert.Runtime) bool
 	}{
-		{"Telemetry", func(vm *gcassert.Runtime) bool { return vm.Telemetry() == nil }},
+		{"Telemetry", func(vm *gcassert.Runtime) bool { _, ok := vm.Pressure(); return vm.Telemetry() == nil && !ok }},
 		{"Census", func(vm *gcassert.Runtime) bool { return vm.Census() == nil }},
 		{"Provenance", func(vm *gcassert.Runtime) bool { return vm.RegisterAllocSite("bench.go:1: new Node") == 0 }},
-		{"Attribution", func(vm *gcassert.Runtime) bool { _, ok := vm.Pressure(); return !ok }},
 		{"FleetExport", func(vm *gcassert.Runtime) bool { return vm.FleetExporter() == nil }},
+		{"Flight", func(vm *gcassert.Runtime) bool { return vm.Flight() == nil }},
 	}
 	for _, infra := range []bool{false, true} {
 		mode := "Base"
@@ -236,77 +236,94 @@ func BenchmarkLayersOff(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryOn is the enabled-mode counterpart of
-// BenchmarkLayersOff/Infrastructure/Telemetry: same collection, telemetry
-// recording every cycle.
-func BenchmarkTelemetryOn(b *testing.B) {
-	vm := gcassert.New(gcassert.Options{
-		HeapBytes:      32 << 20,
-		Infrastructure: true,
-		Telemetry:      true,
-	})
-	node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
-	th := vm.NewThread("main")
-	fr := th.Push(1)
-	buildList(vm, th, fr, node, 200_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vm.Collect()
+// BenchmarkLayersOn is BenchmarkLayersOff's on column: the same full-heap
+// collection of a fixed 200k-object list, in Infrastructure mode with one
+// assert-unshared on the list head, with one optional layer on per row. The
+// list is allocated at a registered site, so with provenance on every node
+// carries one. Each row checks, after timing, that its layer is on and did
+// its work on the last collection; ns/op and allocs/op are per collection.
+// The fleet row ships to a collector in the same process.
+func BenchmarkLayersOn(b *testing.B) {
+	store, err := fleet.OpenStore(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
 	}
-}
+	ts := httptest.NewServer(fleet.NewServer(store).Handler())
+	defer ts.Close()
 
-// BenchmarkProvenanceOn measures the enabled modes for the overhead table in
-// EXPERIMENTS.md: every allocation recorded (exhaustive) versus 1-in-64
-// sampling, against the same allocation loop with provenance off
-// (BenchmarkMicroAlloc).
-func BenchmarkProvenanceOn(b *testing.B) {
-	modes := []struct {
-		name, prov string
-		sample     int
+	const n = 200_000
+	layers := []struct {
+		name string
+		opts gcassert.Options
+		// on reports why the layer is not on and working, or "".
+		on func(vm *gcassert.Runtime, head gcassert.Ref, col gcassert.Collection) string
 	}{
-		{"Exhaustive", "exhaustive", 0},
-		{"Sampled64", "sampled", 64},
+		{"Telemetry", gcassert.Options{Telemetry: true}, func(vm *gcassert.Runtime, _ gcassert.Ref, col gcassert.Collection) string {
+			if _, ok := vm.Pressure(); vm.Telemetry() == nil || !ok {
+				return "no tracer or no pressure tracker"
+			}
+			if len(col.AssertCost) == 0 || col.Trigger.Why == "" {
+				return "the collection carries no per-kind costs or no trigger explanation"
+			}
+			return ""
+		}},
+		{"Provenance", gcassert.Options{ProvenanceSample: 1}, func(vm *gcassert.Runtime, head gcassert.Ref, _ gcassert.Collection) string {
+			if _, desc := vm.AllocSite(head); desc == "" {
+				return "the list head has no recorded allocation site"
+			}
+			return ""
+		}},
+		{"Census", gcassert.Options{Introspection: true}, func(vm *gcassert.Runtime, _ gcassert.Ref, col gcassert.Collection) string {
+			if snap, ok := vm.LatestCensus(); !ok || snap.GC != col.Seq || snap.TotalObjects != n {
+				return "no census snapshot of the last collection covering the list"
+			}
+			return ""
+		}},
+		{"FleetExport", gcassert.Options{FleetURL: ts.URL, InstanceID: "bench"}, func(vm *gcassert.Runtime, _ gcassert.Ref, _ gcassert.Collection) string {
+			if fx := vm.FleetExporter(); fx == nil || fx.Stats().Enqueued == 0 {
+				return "no exporter, or it enqueued nothing"
+			}
+			return ""
+		}},
+		{"Flight", gcassert.Options{FlightRecorder: true}, func(vm *gcassert.Runtime, _ gcassert.Ref, col gcassert.Collection) string {
+			cycles := vm.Flight().Cycles()
+			if len(cycles) == 0 || cycles[len(cycles)-1].GC != col.Seq {
+				return "the flight recorder did not record the last collection"
+			}
+			return ""
+		}},
 	}
-	for _, m := range modes {
-		m := m
-		b.Run(m.name, func(b *testing.B) {
-			vm := gcassert.New(gcassert.Options{
-				HeapBytes: 64 << 20, Infrastructure: true,
-				Provenance: m.prov, ProvenanceSample: m.sample,
-			})
+	for _, l := range layers {
+		l := l
+		b.Run(l.name, func(b *testing.B) {
+			opts := l.opts
+			opts.HeapBytes, opts.Infrastructure = 32<<20, true
+			vm := gcassert.New(opts)
+			defer vm.CloseFleet()
 			node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
 			th := vm.NewThread("main")
 			fr := th.Push(1)
 			site := vm.RegisterAllocSite("bench.go:1: new Node")
+			var head gcassert.Ref
+			for i := 0; i < n; i++ {
+				nd := th.NewAt(node, site)
+				vm.SetRef(nd, 0, head)
+				head = nd
+				fr.Set(0, head)
+			}
+			vm.AssertUnshared(head)
+			vm.Collect() // settle one-time lazy growth before measuring
 			b.ReportAllocs()
 			b.ResetTimer()
+			var col gcassert.Collection
 			for i := 0; i < b.N; i++ {
-				fr.Set(0, th.NewAt(node, site))
+				col = vm.Collect()
+			}
+			b.StopTimer()
+			if why := l.on(vm, head, col); why != "" {
+				b.Fatalf("%s on: %s", l.name, why)
 			}
 		})
-	}
-}
-
-// BenchmarkCensusOn is the enabled-mode counterpart: the same collection
-// with the census walking the survivors after every sweep. Compare ns/op
-// against BenchmarkLayersOff/Base/Census for the census overhead; the
-// snapshot built at GCEnd accounts for the extra allocs/op.
-func BenchmarkCensusOn(b *testing.B) {
-	vm := gcassert.New(gcassert.Options{HeapBytes: 32 << 20, Introspection: true})
-	node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
-	th := vm.NewThread("main")
-	fr := th.Push(1)
-	buildList(vm, th, fr, node, 200_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vm.Collect()
-	}
-	b.StopTimer()
-	snap, ok := vm.LatestCensus()
-	if !ok || snap.TotalObjects != 200_000 {
-		b.Fatalf("census snapshot missing or wrong: %+v", snap)
 	}
 }
 
@@ -363,73 +380,4 @@ func BenchmarkMicroAssertOwnedBy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		vm.AssertOwnedBy(o, vm.RefAt(arr, i%pool))
 	}
-}
-
-// BenchmarkAttributionOn is the enabled-mode counterpart for the overhead
-// table in EXPERIMENTS.md: the same collection with per-kind cost
-// accounting, the trigger explainer, and per-thread pressure counters all
-// live. It self-checks the enabled-mode acceptance criterion: every
-// collection carries per-kind costs and a non-empty trigger explanation.
-func BenchmarkAttributionOn(b *testing.B) {
-	vm := gcassert.New(gcassert.Options{
-		HeapBytes:       64 << 20,
-		Infrastructure:  true,
-		CostAttribution: true,
-	})
-	node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
-	th := vm.NewThread("main")
-	fr := th.Push(1)
-	head := buildList(vm, th, fr, node, 200_000)
-	vm.AssertUnshared(head)
-	vm.Collect()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vm.Collect()
-	}
-	b.StopTimer()
-	col := vm.Collect()
-	if len(col.AssertCost) == 0 {
-		b.Fatal("attribution-on collection carries no per-kind costs")
-	}
-	if col.Trigger.Why == "" {
-		b.Fatal("attribution-on collection carries no trigger explanation")
-	}
-}
-
-// BenchmarkFleetExportOn measures what exporting costs the collection when
-// it is on: census introspection plus sealing/enqueueing an envelope every
-// FleetEvery collections, shipped to a local collector on the exporter's
-// background goroutine. The control sub-benchmark runs the identical
-// configuration minus the exporter, so the delta is the export itself (the
-// 200k-node list matches BenchmarkLayersOff).
-func BenchmarkFleetExportOn(b *testing.B) {
-	store, err := fleet.OpenStore(b.TempDir(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(fleet.NewServer(store).Handler())
-	defer ts.Close()
-
-	bench := func(b *testing.B, url string, every int) {
-		vm := gcassert.New(gcassert.Options{
-			HeapBytes: 64 << 20, Infrastructure: true, Introspection: true,
-			FleetURL: url, FleetEvery: every, InstanceID: "bench",
-		})
-		node := vm.Define("FNode", gcassert.Field{Name: "next", Ref: true})
-		th := vm.NewThread("main")
-		fr := th.Push(1)
-		buildList(vm, th, fr, node, 200_000)
-		vm.Collect()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			vm.Collect()
-		}
-		b.StopTimer()
-		vm.CloseFleet()
-	}
-	b.Run("control-introspection-only", func(b *testing.B) { bench(b, "", 0) })
-	b.Run("every=1", func(b *testing.B) { bench(b, ts.URL, 1) })
-	b.Run("every=8", func(b *testing.B) { bench(b, ts.URL, 8) })
 }

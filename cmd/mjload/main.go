@@ -162,9 +162,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-rps and -n must be positive")
 	}
 
-	// Build the runtime and the request op. Telemetry and cost attribution
-	// are always on: they are what the lab exists to observe, and their
-	// overhead is part of the configuration being measured.
+	// Build the runtime and the request op. Telemetry, which carries cost
+	// attribution, is always on: it is what the lab exists to observe, and
+	// its overhead is part of the configuration being measured.
 	heap := *heapMB << 20
 	var vm *gcassert.Runtime
 	var op func(seq int)
@@ -229,11 +229,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func newRuntime(heapBytes int, stderr io.Writer) *gcassert.Runtime {
 	return gcassert.New(gcassert.Options{
-		HeapBytes:       heapBytes,
-		Infrastructure:  true,
-		Reporter:        gcassert.NewWriterReporter(stderr),
-		Telemetry:       true,
-		CostAttribution: true,
+		HeapBytes:      heapBytes,
+		Infrastructure: true,
+		Reporter:       gcassert.NewWriterReporter(stderr),
+		Telemetry:      true,
 	})
 }
 

@@ -6,7 +6,7 @@
 //
 //	mjrun [-heap MiB] [-stats] [-disasm]
 //	      [-provenance] [-fr] [-fr-dump file] [-explain] [-top]
-//	      [-serve addr] [-fleet url] [-fleet-every N] [-instance id]
+//	      [-serve addr] [-fleet url] [-instance id]
 //	      program.mj
 //
 // With -fr the GC flight recorder is armed: the first assertion violation
@@ -21,17 +21,17 @@
 // stderr. -top attaches an in-process gctop dashboard, redrawn on every
 // collection. -serve mounts the telemetry HTTP surface (e.g. -serve :6060),
 // so an external `gctop -url http://localhost:6060/debug/gcassert/live`
-// can watch the run. All three enable telemetry, cost attribution, and
-// site provenance (the interpreter's per-pc site cache makes the sited
-// allocations cheap).
+// can watch the run. All three enable telemetry, which carries cost
+// attribution, and site provenance (the interpreter's per-pc site cache
+// makes the sited allocations cheap).
 //
-// -fleet enables the fleet exporter: every -fleet-every collections
-// the census snapshot is sealed into a content-addressed envelope and
-// shipped to the gcfleet collector at the given base URL (and, on an
-// assertion violation, a flight bundle too when -fr is armed). -instance
-// names this process in the fleet; empty generates a host-pid-random ID.
-// -fleet implies heap introspection and site provenance, so the shipped
-// census breaks down by (type, allocation site).
+// -fleet enables the fleet exporter: after every collection the census
+// snapshot is sealed into a content-addressed envelope and shipped to the
+// gcfleet collector at the given base URL (and, on an assertion violation,
+// a flight bundle too when -fr is armed). -instance names this process in
+// the fleet; empty generates a host-pid-random ID. -fleet implies heap
+// introspection and site provenance, so the shipped census breaks down by
+// (type, allocation site).
 //
 // Exit status: 0 on success, 1 when the program is missing, fails to
 // compile, or fails at runtime, 2 on usage errors.
@@ -73,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	top := fs.Bool("top", false, "attach an in-process gctop dashboard (redrawn per collection)")
 	serve := fs.String("serve", "", "listen address for the telemetry HTTP surface (e.g. :6060; feeds external gctop via /debug/gcassert/live)")
 	fleetURL := fs.String("fleet", "", "gcfleet collector base URL; enables the fleet exporter (implies introspection + provenance)")
-	fleetEvery := fs.Int("fleet-every", 1, "census export interval in collections (with -fleet)")
 	instance := fs.String("instance", "", "instance ID stamped on exported artifacts (with -fleet; empty = host-pid-random)")
 	showVersion := fs.Bool("version", false, "print build identity and exit")
 	if err := fs.Parse(args); err != nil {
@@ -84,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: mjrun [-heap MiB] [-stats] [-disasm] [-provenance] [-fr] [-fr-dump file] [-explain] [-top] [-serve addr] [-fleet url] [-fleet-every N] [-instance id] program.mj")
+		fmt.Fprintln(stderr, "usage: mjrun [-heap MiB] [-stats] [-disasm] [-provenance] [-fr] [-fr-dump file] [-explain] [-top] [-serve addr] [-fleet url] [-instance id] program.mj")
 		return 2
 	}
 	if *heapMB < 0 || *heapMB > heap.MaxHeapBytes>>20 {
@@ -110,22 +109,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	observing := *explain || *top || *serve != ""
-	prov := ""
+	prov := 0
 	if *provenance || *fr || observing || *fleetURL != "" {
-		prov = "exhaustive"
+		prov = 1
 	}
 	vm := gcassert.New(gcassert.Options{
-		HeapBytes:       *heapMB << 20,
-		Infrastructure:  true,
-		Reporter:        gcassert.NewWriterReporter(stderr),
-		Provenance:      prov,
-		FlightRecorder:  *fr,
-		Telemetry:       observing,
-		CostAttribution: observing,
-		Introspection:   *fleetURL != "",
-		InstanceID:      *instance,
-		FleetURL:        *fleetURL,
-		FleetEvery:      *fleetEvery,
+		HeapBytes:        *heapMB << 20,
+		Infrastructure:   true,
+		Reporter:         gcassert.NewWriterReporter(stderr),
+		ProvenanceSample: prov,
+		FlightRecorder:   *fr,
+		Telemetry:        observing,
+		InstanceID:       *instance,
+		FleetURL:         *fleetURL,
 	})
 	var drainLive func()
 	if *explain || *top {

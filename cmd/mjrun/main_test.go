@@ -24,6 +24,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"removed -workers flag", []string{"-workers", "2", bad}, 2},
 		{"removed -gen flag", []string{"-gen", bad}, 2},
 		{"removed -O flag", []string{"-O", bad}, 2},
+		{"removed -fleet-every flag", []string{"-fleet-every", "2", bad}, 2},
 		{"two programs", []string{"a.mj", "b.mj"}, 2},
 		{"heap an Addr cannot address", []string{"-heap", "8192", bad}, 2},
 		{"missing program", []string{filepath.Join(dir, "nope.mj")}, 1},

@@ -31,6 +31,14 @@
 //	vm.AssertDead(a) // but it is still referenced by fr...
 //	vm.Collect()     // ...so the collector reports the retaining path.
 //
+// Options is the one configuration struct. Infrastructure off is the
+// paper's Base configuration; on, it is Infrastructure, and WithAssertions
+// once the program registers assertions. The optional observability layers
+// (Telemetry, ProvenanceSample, FlightRecorder, Introspection, FleetURL) are
+// off by default and free when off. Telemetry carries cost attribution and
+// the heap-pressure tracker, and FleetURL turns Introspection on; no other
+// layer implies another.
+//
 // See the examples directory for complete programs, and DESIGN.md /
 // EXPERIMENTS.md for how the paper's evaluation is reproduced.
 package gcassert

@@ -146,6 +146,32 @@ func TestFleetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFleetURLTurnsTheCensusOn: a fleet exporter ships census envelopes,
+// so a runtime configured with a collector URL and nothing else still runs
+// the census, and one collection stores one census envelope.
+func TestFleetURLTurnsTheCensusOn(t *testing.T) {
+	store, err := fleet.OpenStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(fleet.NewServer(store).Handler())
+	defer ts.Close()
+
+	vm := gcassert.New(gcassert.Options{Infrastructure: true, FleetURL: ts.URL})
+	vm.Collect()
+	vm.CloseFleet()
+
+	var census int
+	for _, m := range store.List() {
+		if m.Kind == fleet.KindCensus {
+			census++
+		}
+	}
+	if census != 1 {
+		t.Fatalf("store holds %d census envelopes, want 1 (exporter stats %+v)", census, vm.FleetExporter().Stats())
+	}
+}
+
 func fetchFleetJSON(t *testing.T, url string, v interface{}) {
 	t.Helper()
 	resp, err := http.Get(url)

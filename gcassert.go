@@ -1,19 +1,15 @@
 package gcassert
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 
 	"gcassert/internal/collector"
 	"gcassert/internal/core"
-	"gcassert/internal/fleet"
 	"gcassert/internal/flight"
 	"gcassert/internal/heap"
 	"gcassert/internal/rt"
 	"gcassert/internal/telemetry"
-	"gcassert/internal/version"
 )
 
 // Re-exported data types. These are aliases: values flow between the public
@@ -42,6 +38,11 @@ type (
 	CollectingReporter = core.CollectingReporter
 	// HaltError is the panic payload of the ReactHalt reaction.
 	HaltError = core.HaltError
+	// Options configures a Runtime: the heap size, the Base or
+	// Infrastructure configuration, violation reporting and reactions, and
+	// the optional observability layers, every one off by default. See
+	// rt.Config for each field and for which layer implies which.
+	Options = rt.Config
 	// Thread is a mutator context whose frames are GC roots.
 	Thread = rt.Thread
 	// Frame is a shadow-stack frame of local reference slots.
@@ -90,12 +91,12 @@ type (
 	SiteSample = flight.SiteSample
 	// AssertCost is one assertion kind's attributed GC-time cost (check
 	// count plus slow-path nanoseconds) on a Collection, a GCEvent, or a
-	// flight-recorder cycle. Populated with Options.CostAttribution.
+	// flight-recorder cycle. Populated with Options.Telemetry.
 	AssertCost = collector.AssertCost
 	// GCTrigger explains why a collection ran: the human-readable reason,
 	// heap occupancy and allocation-rate EWMA at the trigger, and the
 	// dominant allocating thread/site. Stamped on every Collection when
-	// Options.CostAttribution is set.
+	// Options.Telemetry is set.
 	GCTrigger = collector.Trigger
 	// PressureStats is the mutator-side heap-pressure snapshot returned by
 	// Runtime.Pressure: allocation-rate EWMA, the heap-occupancy timeline,
@@ -107,6 +108,9 @@ type (
 	OccupancySample = rt.OccupancySample
 	// ThreadAlloc is per-thread allocation activity within a GCEvent.
 	ThreadAlloc = telemetry.ThreadAlloc
+	// TypeProfile is one type's live-heap footprint, a row of
+	// Runtime.HeapProfile.
+	TypeProfile = rt.TypeProfile
 )
 
 // Collection reasons recorded by the runtime.
@@ -153,112 +157,6 @@ const (
 // the paper's Figure 1 format.
 func NewWriterReporter(w io.Writer) Reporter { return core.NewWriterReporter(w) }
 
-// Options configures a Runtime.
-type Options struct {
-	// HeapBytes sizes the managed heap (default 64 MiB). The collector runs
-	// when allocation fails.
-	HeapBytes int
-	// Infrastructure enables the GC-assertions infrastructure. Without it
-	// the collector runs the unmodified base trace and assertion calls
-	// panic — this is the paper's Base configuration, used for overhead
-	// measurements.
-	Infrastructure bool
-	// Reporter receives violations; nil discards them (stats still count).
-	Reporter Reporter
-	// LogWriter, if non-nil, additionally prints violations to this writer.
-	LogWriter io.Writer
-	// Policy selects per-kind reactions (zero value: log everything).
-	Policy Policy
-	// OnViolation, if non-nil, chooses the reaction per violation at
-	// detection time, overriding Policy — the paper's programmatic-
-	// reaction interface (§2.6 future work). It runs inside the
-	// stop-the-world collection and must not allocate on the managed heap
-	// or register assertions.
-	OnViolation func(*Violation) Reaction
-	// Telemetry enables the observability layer (structured GC event
-	// trace, Prometheus metrics with a pause histogram, violation log,
-	// HTTP surface) — see Runtime.Telemetry. It works in every mode,
-	// including Base. Disabled (the default), the collector has no telemetry
-	// observer and the mark loop is the same either way.
-	Telemetry bool
-	// TelemetryRingSize bounds the retained GC event trace (default 1024
-	// events; older events are evicted but cumulative metrics keep
-	// counting).
-	TelemetryRingSize int
-	// Provenance selects allocation-site provenance: "" or "off" disables
-	// it (the default); "exhaustive" records every sited allocation;
-	// "sampled" records one in ProvenanceSample. With provenance on,
-	// violations report the offending object's allocation site, census and
-	// leak-suspect rankings break down by (type, site), and flight-recorder
-	// bundles carry a site-resolved pprof heap profile. Allocation sites
-	// are registered with Runtime.RegisterAllocSite and recorded by
-	// Thread.NewAt / NewArrayAt; plain New/NewArray allocations group under
-	// the unknown site. Disabled, the plain allocation path is untouched
-	// and sited entry points cost one comparison.
-	Provenance string
-	// ProvenanceSample is the sampling rate for Provenance "sampled": one
-	// in N sited allocations is recorded (default 64).
-	ProvenanceSample int
-	// FlightRecorder enables the GC flight recorder: an always-on bounded
-	// ring of recent collection cycles (phase timings, per-kind assertion
-	// activity, census deltas) and recent violations, dumpable on demand —
-	// Runtime.WriteFlightBundle, or /debug/gcassert/fr with Telemetry — or
-	// automatically on violation, as a self-contained JSON bundle embedding
-	// a pprof-format heap profile. See Runtime.Flight.
-	FlightRecorder bool
-	// FlightCycles bounds the flight recorder's cycle ring (default 64).
-	FlightCycles int
-	// CostAttribution enables the GC cost-attribution and heap-pressure
-	// layer: every collection's assertion work is attributed per kind
-	// (check counts exact, slow-path time measured), each Collection is
-	// stamped with a trigger explanation (why the GC ran, heap occupancy,
-	// allocation-rate EWMA, dominant allocating thread and site), and
-	// Runtime.Pressure exposes per-thread allocation totals plus the
-	// occupancy timeline. Works in every mode; with Telemetry the costs and
-	// trigger ride on the event stream, the /metrics surface
-	// (gcassert_gc_assert_cost_seconds{kind}), and the /debug/gcassert/live
-	// SSE feed that cmd/gctop renders. Disabled (the default), the mark loop
-	// is untouched and collections gain zero allocations.
-	CostAttribution bool
-	// InstanceID names this runtime instance in exported artifacts: flight
-	// bundles, census documents, and fleet envelopes. Empty generates a
-	// host-pid-random ID — the right default for fleets of identical
-	// replicas, where the content hash (not the name) is the identity that
-	// matters.
-	InstanceID string
-	// Tenant, when non-empty, names this runtime as one tenant of a
-	// multi-runtime host (gcassertd): exported artifacts carry the composed
-	// instance ID "InstanceID/Tenant", so tenants sharing the host's
-	// InstanceID remain distinct instances at the fleet collector instead
-	// of colliding. Cross-tenant leak diffing in gcfleet depends on this.
-	Tenant string
-	// FleetURL enables the fleet exporter when non-empty: every FleetEvery
-	// collections the census snapshot is sealed into a
-	// content-addressed envelope and shipped to the gcfleet collector at
-	// this base URL; on an assertion violation a flight-recorder bundle
-	// ships too. Sends happen on a background goroutine with a bounded
-	// queue, so a slow or absent collector never blocks a collection. Pair
-	// with Introspection (census) and FlightRecorder (forensics); with
-	// Telemetry, /debug/gcassert/fleet reports exporter status and POST
-	// ?export=now ships a census on demand. With FleetURL empty (the
-	// default), the exporter does not exist and collections pay nothing.
-	FleetURL string
-	// FleetEvery is the census export interval in collections
-	// (default 1: every collection — the collector dedupes identical
-	// content, so steady-state replicas are nearly free to report).
-	FleetEvery int
-	// Introspection enables the heap-introspection layer: a per-type live
-	// census taken at the end of every collection from the allocation
-	// bitmaps (after the sweep every allocated object is a survivor),
-	// snapshot diffing with Cork-style leak-suspect ranking, and on-demand
-	// dominator / retained-size analysis — see Runtime.CensusSnapshots,
-	// LeakSuspects and Dominators. Works in every mode, including Base.
-	// Disabled (the default), nothing runs and nothing is allocated.
-	Introspection bool
-	// CensusRingSize bounds the retained census snapshots (default 64).
-	CensusRingSize int
-}
-
 // Runtime is a managed runtime with GC assertions. All methods of the
 // embedded runtime (thread and global management, Collect, Define,
 // assertion registration) are part of the public API.
@@ -266,82 +164,8 @@ type Runtime struct {
 	*rt.Runtime
 }
 
-// provenanceSample maps the Options provenance mode to the runtime's
-// sampling rate (0 = off, 1 = exhaustive, N = one in N).
-func provenanceSample(opts Options) int {
-	switch opts.Provenance {
-	case "", "off":
-		return 0
-	case "exhaustive":
-		return 1
-	case "sampled":
-		if opts.ProvenanceSample > 1 {
-			return opts.ProvenanceSample
-		}
-		return 64
-	default:
-		panic(fmt.Sprintf("gcassert: unknown Provenance mode %q (want off, sampled or exhaustive)", opts.Provenance))
-	}
-}
-
 // New creates a runtime.
-func New(opts Options) *Runtime {
-	r := &Runtime{rt.New(rt.Config{
-		HeapBytes:         opts.HeapBytes,
-		Infrastructure:    opts.Infrastructure,
-		Reporter:          opts.Reporter,
-		LogWriter:         opts.LogWriter,
-		Policy:            opts.Policy,
-		Telemetry:         opts.Telemetry,
-		TelemetryRingSize: opts.TelemetryRingSize,
-		CostAttribution:   opts.CostAttribution,
-		Introspection:     opts.Introspection,
-		CensusRingSize:    opts.CensusRingSize,
-		ProvenanceSample:  provenanceSample(opts),
-		FlightRecorder:    opts.FlightRecorder,
-		FlightCycles:      opts.FlightCycles,
-		InstanceID:        opts.InstanceID,
-		Tenant:            opts.Tenant,
-		FleetURL:          opts.FleetURL,
-		FleetEvery:        opts.FleetEvery,
-	})}
-	if opts.OnViolation != nil && r.Engine() != nil {
-		r.Engine().SetDecider(opts.OnViolation)
-	}
-	if tel := r.Telemetry(); tel != nil {
-		tel.SetHeapProfile(func(w io.Writer) error { return r.WriteHeapProfile(w, 0) })
-		if census := r.Census(); census != nil {
-			tel.SetCensusSource(census.WriteJSON)
-			tel.SetLeakSource(census.WriteSuspectsJSON)
-		}
-		if fr := r.Flight(); fr != nil {
-			tel.SetFlightSource(func(w io.Writer) error { return fr.WriteBundle(w, "http") })
-		}
-		if fx := r.FleetExporter(); fx != nil {
-			tel.SetFleetSource(func(w io.Writer, export bool) error {
-				doc := struct {
-					Instance version.Identity  `json:"instance"`
-					Stats    fleet.ExportStats `json:"stats"`
-					Exported string            `json:"exported_hash,omitempty"`
-					Error    string            `json:"export_error,omitempty"`
-				}{Instance: fx.Identity(), Stats: fx.Stats()}
-				if export {
-					hash, err := fx.ExportLatest()
-					if err != nil {
-						doc.Error = err.Error()
-					} else {
-						doc.Exported = hash
-					}
-					doc.Stats = fx.Stats()
-				}
-				enc := json.NewEncoder(w)
-				enc.SetIndent("", "  ")
-				return enc.Encode(&doc)
-			})
-		}
-	}
-	return r
-}
+func New(opts Options) *Runtime { return &Runtime{rt.New(opts)} }
 
 // WriteFlightBundle dumps a flight-recorder forensic bundle to w: the
 // retained cycle timeline, the retained violations, and a pprof-format

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gcassert/internal/assertd"
+	"gcassert/internal/fleet"
 )
 
 // Guest programs for the tests. leakerSrc trips assert-dead once per run
@@ -441,5 +442,69 @@ func TestEventsStreamReplay(t *testing.T) {
 	}
 	if got != 2 {
 		t.Fatalf("replayed %d events, want 2", got)
+	}
+}
+
+// TestTenantOptionClamps: resource options past the host's per-tenant
+// budget are clamped silently at creation, and the tenant document echoes
+// the clamped value.
+func TestTenantOptionClamps(t *testing.T) {
+	_, ts := testServer(t, assertd.Config{DefaultHeapMiB: 1, MaxHeapMiB: 2})
+	cases := []struct {
+		name    string
+		options string
+		got     func(o assertd.TenantOptions) int64
+		want    int64
+	}{
+		{"heap_mib/default", `{}`, func(o assertd.TenantOptions) int64 { return int64(o.HeapMiB) }, 1},
+		{"heap_mib/past-max", `{"heap_mib":1048576}`, func(o assertd.TenantOptions) int64 { return int64(o.HeapMiB) }, 2},
+		{"heap_mib/in-range", `{"heap_mib":2}`, func(o assertd.TenantOptions) int64 { return int64(o.HeapMiB) }, 2},
+		{"max_steps/default", `{}`, func(o assertd.TenantOptions) int64 { return int64(o.MaxSteps) }, 50_000_000},
+		{"max_steps/past-max", `{"max_steps":18446744073709551615}`, func(o assertd.TenantOptions) int64 { return int64(o.MaxSteps) }, 50_000_000},
+		{"max_steps/in-range", `{"max_steps":1000}`, func(o assertd.TenantOptions) int64 { return int64(o.MaxSteps) }, 1000},
+		{"trace.capacity/past-max", `{"trace":{"capacity":1073741824}}`, func(o assertd.TenantOptions) int64 { return int64(o.Trace.Capacity) }, 1024},
+		{"trace.capacity/in-range", `{"trace":{"capacity":16}}`, func(o assertd.TenantOptions) int64 { return int64(o.Trace.Capacity) }, 16},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			id := fmt.Sprintf("c%d", i)
+			resp, err := http.Post(ts.URL+"/tenants", "application/json",
+				strings.NewReader(fmt.Sprintf(`{"id":%q,"options":%s}`, id, tc.options)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("create = %d, want %d", resp.StatusCode, http.StatusCreated)
+			}
+			var doc struct {
+				Options assertd.TenantOptions `json:"options"`
+			}
+			doJSON(t, "GET", ts.URL+"/tenants/"+id, nil, http.StatusOK, &doc)
+			if got := tc.got(doc.Options); got != tc.want {
+				t.Errorf("tenant document echoes %d, want %d", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestFleetTenantReportsIntrospection: a server with a fleet collector runs
+// every tenant's census, because the census is what ships, so the tenant
+// document reports introspection on although the tenant did not ask.
+func TestFleetTenantReportsIntrospection(t *testing.T) {
+	store, err := fleet.OpenStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleetTS := httptest.NewServer(fleet.NewServer(store).Handler())
+	defer fleetTS.Close()
+	_, ts := testServer(t, assertd.Config{FleetURL: fleetTS.URL})
+	createTenant(t, ts, "shipped", assertd.TenantOptions{})
+	var doc struct {
+		Options assertd.TenantOptions `json:"options"`
+	}
+	doJSON(t, "GET", ts.URL+"/tenants/shipped", nil, http.StatusOK, &doc)
+	if !doc.Options.Introspection {
+		t.Error("tenant document reports introspection off on a server that ships its census")
 	}
 }

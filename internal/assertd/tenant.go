@@ -28,8 +28,8 @@ type TenantOptions struct {
 	// HeapMiB sizes the tenant's managed heap in MiB (default
 	// Config.DefaultHeapMiB, clamped to [1, Config.MaxHeapMiB]).
 	HeapMiB int `json:"heap_mib,omitempty"`
-	// Provenance selects allocation-site provenance: "", "off", "sampled",
-	// or "exhaustive".
+	// Provenance selects allocation-site provenance: "", "off", "sampled"
+	// (one in sampledProvenance sited allocations) or "exhaustive".
 	Provenance string `json:"provenance,omitempty"`
 	// MaxSteps bounds each guest request's executed instructions. 0 applies
 	// the server default (defaultMaxSteps); there is no unlimited setting —
@@ -40,8 +40,10 @@ type TenantOptions struct {
 	React map[string]string `json:"react,omitempty"`
 	// FlightRecorder enables the GC flight recorder.
 	FlightRecorder bool `json:"flight_recorder,omitempty"`
-	// Introspection enables the census/leak-ranking layer. Forced on when
-	// the server has a fleet collector configured (census is what ships).
+	// Introspection enables the census/leak-ranking layer. The tenant
+	// document reports it on wherever the census runs, which includes every
+	// tenant of a server with a fleet collector configured (the census is
+	// what ships).
 	Introspection bool `json:"introspection,omitempty"`
 	// SLO declares the tenant's service-level objectives at creation time
 	// (replaceable later via PUT /tenants/{id}/slo). Nil means no SLO: the
@@ -58,6 +60,23 @@ type TenantOptions struct {
 // execution resource, and an infinite guest loop would otherwise hold it
 // forever.
 const defaultMaxSteps = 50_000_000
+
+// sampledProvenance is the one-in-N rate that provenance "sampled" records.
+const sampledProvenance = 64
+
+// provenanceRate maps the wire spelling of a provenance mode to the
+// runtime's sampling rate (0 off, 1 every sited allocation, N one in N).
+func provenanceRate(mode string) (int, error) {
+	switch mode {
+	case "", "off":
+		return 0, nil
+	case "exhaustive":
+		return 1, nil
+	case "sampled":
+		return sampledProvenance, nil
+	}
+	return 0, fmt.Errorf("unknown provenance mode %q", mode)
+}
 
 // parseReaction maps the wire spelling of a reaction.
 func parseReaction(s string) (gcassert.Reaction, error) {
@@ -197,10 +216,9 @@ func newTenant(s *Server, id string, topts TenantOptions) (*Tenant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadProgram, err)
 	}
-	switch topts.Provenance {
-	case "", "off", "sampled", "exhaustive":
-	default:
-		return nil, fmt.Errorf("%w: unknown provenance mode %q", ErrBadProgram, topts.Provenance)
+	prov, err := provenanceRate(topts.Provenance)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadProgram, err)
 	}
 	// Clamp resources to the host's per-tenant budget.
 	if topts.HeapMiB <= 0 {
@@ -215,9 +233,6 @@ func newTenant(s *Server, id string, topts TenantOptions) (*Tenant, error) {
 	if topts.MaxSteps == 0 || topts.MaxSteps > defaultMaxSteps {
 		topts.MaxSteps = defaultMaxSteps
 	}
-	if s.cfg.FleetURL != "" {
-		topts.Introspection = true // census is the fleet payload
-	}
 	if topts.SLO != nil {
 		if err := topts.SLO.Validate(); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadSLO, err)
@@ -227,6 +242,9 @@ func newTenant(s *Server, id string, topts TenantOptions) (*Tenant, error) {
 		if err := topts.Trace.validate(); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadProgram, err)
 		}
+		trc := *topts.Trace
+		trc.Capacity = min(trc.Capacity, maxTraceCapacity)
+		topts.Trace = &trc
 	}
 
 	t := &Tenant{
@@ -263,19 +281,19 @@ func newTenant(s *Server, id string, topts TenantOptions) (*Tenant, error) {
 	t.hub.DropMetric = t.metrics.dropped
 
 	vm := gcassert.New(gcassert.Options{
-		HeapBytes:       topts.HeapMiB << 20,
-		Infrastructure:  true,
-		Reporter:        core.FuncReporter(t.onViolation),
-		Policy:          pol,
-		Telemetry:       true,
-		CostAttribution: true,
-		Provenance:      topts.Provenance,
-		FlightRecorder:  topts.FlightRecorder,
-		Introspection:   topts.Introspection,
-		InstanceID:      s.cfg.InstanceID,
-		Tenant:          id,
-		FleetURL:        s.cfg.FleetURL,
+		HeapBytes:        topts.HeapMiB << 20,
+		Infrastructure:   true,
+		Reporter:         core.FuncReporter(t.onViolation),
+		Policy:           pol,
+		Telemetry:        true,
+		ProvenanceSample: prov,
+		FlightRecorder:   topts.FlightRecorder,
+		Introspection:    topts.Introspection,
+		InstanceID:       s.cfg.InstanceID,
+		Tenant:           id,
+		FleetURL:         s.cfg.FleetURL,
 	})
+	t.opts.Introspection = vm.Census() != nil
 	t.tel = vm.Telemetry()
 	t.tel.OnRecord(t.onGCEvent)
 

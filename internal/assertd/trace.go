@@ -26,7 +26,8 @@ var ErrNoTrace = errors.New("no such trace")
 // allocates nothing (BenchmarkLayersOff/Tracing pins this).
 type TraceOptions struct {
 	// Capacity bounds the tenant's stored traces; the store evicts oldest
-	// first. 0 applies trace.DefaultStoreCap.
+	// first. 0 applies trace.DefaultStoreCap; larger values are clamped to
+	// maxTraceCapacity, and the tenant document echoes the clamped value.
 	Capacity int `json:"capacity,omitempty"`
 	// SlowPauseNs always keeps any trace containing a collection whose
 	// stop-the-world pause reaches this many nanoseconds. 0 disables the
@@ -36,6 +37,10 @@ type TraceOptions struct {
 	// always-keep criterion (the healthy, fast, quiet ones).
 	Probability float64 `json:"probability,omitempty"`
 }
+
+// maxTraceCapacity caps TraceOptions.Capacity, so one tenant cannot make
+// the host retain an unbounded number of span trees.
+const maxTraceCapacity = 1024
 
 func (o *TraceOptions) validate() error {
 	if o.Capacity < 0 {

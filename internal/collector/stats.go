@@ -80,7 +80,8 @@ type Collection struct {
 	// ObjectsLive is the number of survivors after the sweep.
 	ObjectsLive int
 	// AssertCost attributes the cycle's assertion work per kind; nil unless
-	// the engine has cost attribution enabled (Options.CostAttribution).
+	// the engine has cost attribution enabled, which the runtime does with
+	// telemetry (Options.Telemetry).
 	AssertCost []AssertCost
 	// Trigger explains why the collection ran; zero unless an observer
 	// stamped it in GCBegin (the runtime's pressure tracker).

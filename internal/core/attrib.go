@@ -49,17 +49,13 @@ func (e *Engine) LastCycle() [NumKinds]KindActivity {
 	return out
 }
 
-// EnableCostAttribution turns per-kind cost accounting on. Mirroring the
-// other observability layers it is enable-only and callable between
-// collections.
-func (e *Engine) EnableCostAttribution() {
+// EnableCosts turns per-kind cost accounting on. Mirroring the other
+// observability layers it is enable-only and callable between collections.
+func (e *Engine) EnableCosts() {
 	if e.costs == nil {
 		e.costs = &costState{}
 	}
 }
-
-// CostAttributionEnabled reports whether attribution is on.
-func (e *Engine) CostAttributionEnabled() bool { return e.costs != nil }
 
 // costRows returns the per-kind cost rows of the collection that just
 // finished sweeping, or nil when attribution is disabled. PostSweep hands

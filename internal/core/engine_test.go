@@ -555,7 +555,7 @@ func TestDeadVerifiedIsCountedByTheSweep(t *testing.T) {
 	})
 	t.Run("AssertCost dead row", func(t *testing.T) {
 		w := newWorld(t)
-		w.eng.EnableCostAttribution()
+		w.eng.EnableCosts()
 		w.root(dead(w, w.node, 0)) // reachable: one violation
 		for i := 0; i < 3; i++ {
 			dead(w, w.node, 0)

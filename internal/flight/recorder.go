@@ -46,7 +46,7 @@ type KindDelta struct {
 }
 
 // CostRow is one assertion kind's attributed cost during one recorded
-// cycle (present only on runtimes with cost attribution enabled).
+// cycle (present only on Infrastructure runtimes with telemetry on).
 type CostRow struct {
 	Kind   string `json:"kind"`
 	Checks uint64 `json:"checks"`
@@ -77,7 +77,7 @@ type Cycle struct {
 	Kinds         []KindDelta `json:"kinds,omitempty"`
 	CensusDelta   []TypeDelta `json:"census_delta,omitempty"`
 	// Trigger explanation and per-kind cost attribution, stamped when the
-	// runtime runs with CostAttribution. Additive omitempty fields: schema
+	// runtime runs with Telemetry. Additive omitempty fields: schema
 	// version 1 bundles without them parse unchanged.
 	Trigger      string    `json:"trigger,omitempty"`
 	OccupancyPct float64   `json:"occupancy_pct,omitempty"`

@@ -30,10 +30,9 @@ func TestAttributionReconcilesWithPauseHistogram(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			vm := gcassert.New(gcassert.Options{
-				HeapBytes:       cfg.heap,
-				Infrastructure:  true,
-				Telemetry:       true,
-				CostAttribution: true,
+				HeapBytes:      cfg.heap,
+				Infrastructure: true,
+				Telemetry:      true,
 			})
 			node := vm.Define("Node", gcassert.Field{Name: "next", Ref: true})
 			th := vm.NewThread("svc")

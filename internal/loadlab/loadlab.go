@@ -26,7 +26,7 @@
 // Attribute intersects each request's lifetime with the runtime's GC pause
 // windows (from the telemetry event stream) and decomposes slow requests
 // into run time vs stop-the-world overlap, blamed per trigger reason and —
-// with cost attribution enabled — per assertion kind. The invariant behind
+// in Infrastructure mode — per assertion kind. The invariant behind
 // it: with a serial service loop, every pause happens inside exactly one
 // request's service window, so summed attributed pause time reconciles
 // exactly with the telemetry pause histogram (a property test pins this).

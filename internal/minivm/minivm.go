@@ -62,16 +62,16 @@ func CompileAndRun(src string, opt RunOptions) (*Result, error) {
 	if rep == nil {
 		rep = res.Violations
 	}
-	prov := ""
+	prov := 0
 	if opt.Provenance {
-		prov = "exhaustive"
+		prov = 1
 	}
 	res.VM = gcassert.New(gcassert.Options{
-		HeapBytes:      opt.HeapBytes,
-		Infrastructure: true,
-		Reporter:       rep,
-		Provenance:     prov,
-		FlightRecorder: opt.FlightRecorder,
+		HeapBytes:        opt.HeapBytes,
+		Infrastructure:   true,
+		Reporter:         rep,
+		ProvenanceSample: prov,
+		FlightRecorder:   opt.FlightRecorder,
 	})
 	out := opt.Out
 	if out == nil {

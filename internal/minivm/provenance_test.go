@@ -98,7 +98,7 @@ class Main {
 	rep := &gcassert.CollectingReporter{}
 	vm := gcassert.New(gcassert.Options{
 		HeapBytes: 8 << 20, Infrastructure: true, Reporter: rep,
-		Provenance: "exhaustive", FlightRecorder: true,
+		ProvenanceSample: 1, FlightRecorder: true,
 	})
 	var dump bytes.Buffer
 	vm.Flight().SetDumpSink(func() (io.WriteCloser, error) {
@@ -186,7 +186,7 @@ class Main {
 	}
 	vm := gcassert.New(gcassert.Options{
 		HeapBytes: 8 << 20, Infrastructure: true,
-		Provenance: "exhaustive", Introspection: true,
+		ProvenanceSample: 1, Introspection: true,
 	})
 	im, err := Load(vm, unit, nil)
 	if err != nil {

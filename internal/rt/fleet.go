@@ -1,30 +1,12 @@
 package rt
 
 import (
+	"encoding/json"
+	"io"
+
 	"gcassert/internal/fleet"
 	"gcassert/internal/version"
 )
-
-// initFleet wires the fleet exporter: census envelopes ship every
-// FleetEvery collections, flight bundles on violation, both sealed
-// under this runtime's identity and registry ref.
-// Network sends happen on the exporter's own goroutine; a dead collector
-// costs the GC nothing.
-func (r *Runtime) initFleet(cfg Config) {
-	fx := fleet.NewExporter(fleet.ExportConfig{
-		URL:         cfg.FleetURL,
-		Every:       cfg.FleetEvery,
-		Identity:    r.identity,
-		RegistryRef: fleet.RegistryRef(r.reg),
-	})
-	if r.census != nil {
-		fx.SetCensusSource(r.census.Latest)
-	}
-	if r.flight != nil {
-		fx.SetBundleSource(r.flight.Bundle)
-	}
-	r.fleetx = fx
-}
 
 // Identity returns the instance identity stamped on exported artifacts
 // (flight bundles, census documents, fleet envelopes).
@@ -41,4 +23,28 @@ func (r *Runtime) CloseFleet() {
 	if r.fleetx != nil {
 		r.fleetx.Close()
 	}
+}
+
+// writeFleetStatus is the /debug/gcassert/fleet document: the exporter's
+// identity and counters, plus — when export is set — the hash of a census
+// envelope sealed on demand, or the reason none could be.
+func (r *Runtime) writeFleetStatus(w io.Writer, export bool) error {
+	fx := r.fleetx
+	doc := struct {
+		Instance version.Identity  `json:"instance"`
+		Stats    fleet.ExportStats `json:"stats"`
+		Exported string            `json:"exported_hash,omitempty"`
+		Error    string            `json:"export_error,omitempty"`
+	}{Instance: fx.Identity()}
+	if export {
+		if hash, err := fx.ExportLatest(); err != nil {
+			doc.Error = err.Error()
+		} else {
+			doc.Exported = hash
+		}
+	}
+	doc.Stats = fx.Stats()
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(&doc)
 }

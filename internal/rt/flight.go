@@ -8,18 +8,6 @@ import (
 	"gcassert/internal/heap"
 )
 
-// initFlight installs the flight recorder's data sources.
-func (r *Runtime) initFlight() {
-	fr := r.flight
-	if r.engine != nil {
-		fr.SetActivitySource(r.engine.LastCycle)
-	}
-	if r.census != nil {
-		fr.SetCensusSource(r.census.Latest)
-	}
-	fr.SetProfileSource(r.siteProfile)
-}
-
 // flightViolation converts an engine violation into the flight recorder's
 // retained form: the structured fields for machine consumption plus the
 // full Figure-1 report for humans.

@@ -5,18 +5,6 @@ import (
 	"gcassert/internal/telemetry"
 )
 
-// initIntrospection builds the heap census and — when telemetry is also
-// enabled — mirrors its snapshots into per-type gauges in the metrics
-// registry.
-func (r *Runtime) initIntrospection(cfg Config) {
-	census := heapdump.NewCensus(r.space, heapdump.Config{Ring: cfg.CensusRingSize})
-	r.census = census
-	if r.tel != nil {
-		pub := &censusPublisher{reg: r.tel.Registry()}
-		census.SetOnSnapshot(pub.publish)
-	}
-}
-
 // censusPublisher mirrors each census snapshot into the metrics registry as
 // per-type gauges, so a Prometheus scrape sees the live-heap composition
 // without hitting the census endpoint. It runs inside the stop-the-world

@@ -8,9 +8,9 @@ import (
 	"gcassert/internal/heap"
 )
 
-// Mutator-side heap-pressure accounting and the trigger explainer. Enabled
-// by Config.CostAttribution; disabled (the default) the allocation path pays
-// one nil-check and the collector's observer list has no pressure tracker.
+// Mutator-side heap-pressure accounting and the trigger explainer. It comes
+// with Config.Telemetry; off (the default), the allocation path pays one
+// nil-check and the collector's observer list has no pressure tracker.
 //
 // The tracker is the collector's first observer: its GCBegin runs at the
 // top of every collection, inside the stop-the-world pause, and answers the
@@ -181,8 +181,8 @@ func (p *pressure) snapshot() PressureStats {
 	return ps
 }
 
-// Pressure returns the mutator-side pressure snapshot; ok is false when cost
-// attribution (which carries the pressure tracker) is disabled.
+// Pressure returns the mutator-side pressure snapshot; ok is false when
+// telemetry (which carries the pressure tracker) is off.
 func (r *Runtime) Pressure() (PressureStats, bool) {
 	if r.pressure == nil {
 		return PressureStats{}, false

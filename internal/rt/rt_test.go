@@ -204,7 +204,7 @@ func TestNewFrameIsNeverHandedOutByPush(t *testing.T) {
 // overlap, and as long as the record's phase time — in the event and in the
 // flight recorder's cycle alike.
 func TestTelemetryEventWindowIsThePause(t *testing.T) {
-	r := newRT(t, Config{Infrastructure: true, Telemetry: true, CostAttribution: true, FlightRecorder: true})
+	r := newRT(t, Config{Infrastructure: true, Telemetry: true, FlightRecorder: true})
 	node := r.Define("Node", heap.Field{Name: "next", Ref: true})
 	th := r.NewThread("main")
 	for round := 0; round < 5; round++ {
@@ -266,8 +266,8 @@ func TestEveryViolationSinkSeesItOnce(t *testing.T) {
 	var log bytes.Buffer
 	r := newRT(t, Config{
 		Infrastructure: true, Reporter: rep, LogWriter: &log,
-		Telemetry: true, FlightRecorder: true, CostAttribution: true, Introspection: true,
-		FleetURL: srv.URL, FleetEvery: 1000,
+		Telemetry: true, FlightRecorder: true, Introspection: true,
+		FleetURL: srv.URL,
 	})
 
 	var order []string

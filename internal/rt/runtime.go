@@ -25,89 +25,108 @@ import (
 	"gcassert/internal/version"
 )
 
-// Config configures a Runtime.
+// Config configures a Runtime. The public facade exposes it unchanged as
+// gcassert.Options.
+//
+// Every optional layer is off by default, and an off layer costs nothing:
+// no observer in the collector's list, no hook in the mark loop, no host
+// allocation per collection. Which layer implies which is decided in New,
+// and only there:
+//
+//   - Telemetry carries cost attribution and the heap-pressure tracker.
+//   - FleetURL turns the census (Introspection) on: the census is what the
+//     exporter ships.
+//   - A layer that feeds another is wired to it when both are on: the
+//     census feeds telemetry gauges, the flight recorder and the fleet
+//     exporter; the flight recorder feeds violation-triggered fleet exports;
+//     telemetry serves every other layer's document over HTTP.
 type Config struct {
-	// HeapBytes is the managed heap size. The collector runs when allocation
-	// fails; like the paper's methodology, benchmarks size this at a small
-	// multiple of the live set. Default 64 MiB.
+	// HeapBytes sizes the managed heap (default 64 MiB). The collector runs
+	// when allocation fails; like the paper's methodology, benchmarks size
+	// this at a small multiple of the live set.
 	HeapBytes int
-	// Infrastructure enables the GC-assertions infrastructure in the
-	// collector (the paper's "Infrastructure" configuration). Without it the
-	// collector runs the unmodified Base trace and assertions are
-	// unavailable.
+	// Infrastructure enables the GC-assertions infrastructure. Without it
+	// the collector runs the unmodified base trace and assertion calls
+	// panic — this is the paper's Base configuration, used for overhead
+	// measurements.
 	Infrastructure bool
-	// Reporter receives violations (default: a writer to Stderr is NOT
-	// installed; violations are recorded only if a reporter is given).
+	// Reporter receives violations; nil discards them (stats still count).
 	Reporter core.Reporter
-	// Policy selects per-kind reactions (default: log and continue).
-	Policy core.Policy
-	// Registry supplies a pre-built type registry; nil creates a fresh one.
-	Registry *heap.Registry
-	// LogWriter, if non-nil, receives a WriterReporter in addition to
-	// Reporter.
+	// LogWriter, if non-nil, additionally prints violations to this writer
+	// in the paper's Figure 1 format.
 	LogWriter io.Writer
+	// Policy selects per-kind reactions (zero value: log everything).
+	Policy core.Policy
+	// OnViolation, if non-nil, chooses the reaction per violation at
+	// detection time, overriding Policy — the paper's programmatic-
+	// reaction interface (§2.6 future work). It runs inside the
+	// stop-the-world collection and must not allocate on the managed heap
+	// or register assertions. Infrastructure mode only.
+	OnViolation func(*core.Violation) core.Reaction
 	// Telemetry enables the observability layer: a structured GC event
-	// trace, a metrics registry with a pause histogram, and (in
-	// Infrastructure mode) a violation log, all reachable through
-	// Runtime.Telemetry(). The event is built at the end of each collection
-	// from the collector's own record. Disabled, the collector's observer
-	// list holds no telemetry sink and the mark loop is the same either way.
+	// trace, Prometheus metrics with a pause histogram, the violation log
+	// and the HTTP surface (Runtime.Telemetry). It carries cost
+	// attribution: every collection's assertion work is attributed per
+	// kind (Collection.AssertCost; check counts exact, slow-path time
+	// measured), and a pressure tracker, first in the collector's observer
+	// list, stamps each collection with why it ran (Collection.Trigger:
+	// occupancy, allocation-rate EWMA, dominant allocating thread and site)
+	// and keeps per-thread allocation totals (Runtime.Pressure). Costs and
+	// trigger ride the event stream, /metrics and the /debug/gcassert/live
+	// SSE feed that cmd/gctop renders. Works in every mode, including Base.
+	// Disabled, the mark loop is the same, the allocation path pays one
+	// nil-check, and collections gain zero allocations.
 	Telemetry bool
-	// TelemetryRingSize bounds the retained GC event trace (default 1024).
+	// TelemetryRingSize bounds the retained GC event trace (default 1024
+	// events; older events are evicted but cumulative metrics keep
+	// counting).
 	TelemetryRingSize int
 	// ProvenanceSample enables allocation-site provenance: 0 (the default)
-	// disables it, 1 records every sited allocation (exhaustive), N > 1
-	// records every Nth (sampled). With provenance on, violations report the
-	// offending object's allocation site, the census and leak ranking group
-	// by (type, site), and the flight recorder's heap profile resolves to
-	// sites. Disabled, the allocation path pays one nil-check on sited
-	// allocations and nothing on plain ones.
+	// disables it, 1 records every sited allocation, N > 1 records one in N.
+	// With provenance on, violations report the offending object's
+	// allocation site, the census and leak ranking group by (type, site),
+	// and flight-recorder bundles carry a site-resolved pprof heap profile.
+	// Sites are registered with Runtime.RegisterAllocSite and recorded by
+	// Thread.NewAt / NewArrayAt; plain New/NewArray allocations group under
+	// the unknown site. Disabled, the plain allocation path is untouched and
+	// sited entry points cost one comparison.
 	ProvenanceSample int
-	// FlightRecorder enables the GC flight recorder: an always-on bounded
-	// ring of recent collection cycles (phase timings, census deltas,
-	// assertion activity) plus recent violations, dumpable on demand as a
-	// self-contained forensic bundle with a pprof-format heap profile. See
-	// Runtime.Flight.
+	// FlightRecorder enables the GC flight recorder: an always-on ring of
+	// the last 64 collection cycles (phase timings, per-kind assertion
+	// activity, census deltas) and recent violations, dumpable on demand —
+	// Runtime.WriteFlightBundle, or /debug/gcassert/fr with Telemetry — or
+	// automatically on violation, as a self-contained JSON bundle embedding
+	// a pprof-format heap profile. See Runtime.Flight.
 	FlightRecorder bool
-	// FlightCycles bounds the flight recorder's cycle ring (default 64).
-	FlightCycles int
-	// CostAttribution enables the cost-attribution and heap-pressure layer:
-	// per-assertion-kind time/work accounting on every collection
-	// (Collection.AssertCost), mutator-side pressure stats (per-thread
-	// allocation counters, allocation-rate EWMA, occupancy timeline,
-	// Runtime.Pressure), and a pressure tracker, first in the collector's
-	// observer list, stamping every collection with why it ran
-	// (Collection.Trigger). Disabled, the mark loop is untouched, the
-	// allocation path pays one nil-check, and the engine's per-kind timers
-	// are skipped behind one nil-check each.
-	CostAttribution bool
-	// InstanceID names this runtime instance in exported artifacts (flight
-	// bundles, census documents, fleet envelopes). Empty generates a
-	// host-pid-random ID, which is right for fleets of identical replicas.
+	// InstanceID names this runtime instance in exported artifacts: flight
+	// bundles, census documents and fleet envelopes. Empty generates a
+	// host-pid-random ID — the right default for fleets of identical
+	// replicas, where the content hash (not the name) is the identity.
 	InstanceID string
-	// Tenant, when non-empty, marks this runtime as one named tenant of a
-	// multi-runtime host: the effective instance ID becomes
-	// "InstanceID/Tenant" (composed via version.Identity.Sub), so many
-	// tenants sharing one configured InstanceID export to the fleet
-	// collector as distinct instances instead of colliding.
+	// Tenant, when non-empty, names this runtime as one tenant of a
+	// multi-runtime host (gcassertd): the effective instance ID becomes
+	// "InstanceID/Tenant" (version.Identity.Sub), so tenants sharing the
+	// host's InstanceID export to the fleet collector as distinct instances
+	// instead of colliding.
 	Tenant string
-	// FleetURL, when non-empty, enables the fleet exporter: census
-	// envelopes (and, on violation, flight bundles) are content-addressed
-	// and shipped to the gcfleet collector at this base URL from a
-	// background goroutine. Works best with Introspection (census) and
-	// FlightRecorder (violation forensics); without both there is nothing
-	// to ship.
+	// FleetURL enables the fleet exporter when non-empty: after every
+	// collection the census snapshot is sealed into a content-addressed
+	// envelope and shipped to the gcfleet collector at this base URL (the
+	// collector dedupes identical content, so steady-state replicas are
+	// nearly free to report); on a violation a flight-recorder bundle ships
+	// too, when FlightRecorder is on. FleetURL turns Introspection on. Sends
+	// happen on a background goroutine with a bounded queue, so a slow or
+	// absent collector never blocks a collection. With Telemetry,
+	// /debug/gcassert/fleet reports exporter status and POST ?export=now
+	// ships a census on demand.
 	FleetURL string
-	// FleetEvery exports a census envelope every N collections
-	// (default 1 — the collector dedupes identical content, so steady-state
-	// replicas are nearly free to report).
-	FleetEvery int
-	// Introspection enables the heap-introspection layer: a per-type census
-	// taken at the end of every collection by walking the allocation
-	// bitmaps after the sweep, when every allocated object is a survivor,
-	// snapshot diffing with leak-suspect ranking, and on-demand
-	// dominator/retained-size analysis, reachable through Runtime.Census().
-	// Disabled, nothing runs: the mark loop is the same either way.
+	// Introspection enables the heap-introspection layer: a per-type live
+	// census taken at the end of every collection from the allocation
+	// bitmaps (after the sweep every allocated object is a survivor),
+	// snapshot diffing with Cork-style leak-suspect ranking, and on-demand
+	// dominator / retained-size analysis, reachable through Runtime.Census.
+	// Works in every mode, including Base. Disabled, nothing runs and
+	// nothing is allocated.
 	Introspection bool
 	// CensusRingSize bounds the retained census snapshots (default 64).
 	CensusRingSize int
@@ -134,29 +153,47 @@ type Runtime struct {
 	fleetx   *fleet.Exporter
 }
 
-// New creates a runtime per cfg.
+// New creates a runtime per cfg. Every rule about which layer implies or
+// feeds which lives here.
 func New(cfg Config) *Runtime {
 	if cfg.HeapBytes <= 0 {
 		cfg.HeapBytes = 64 << 20
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = heap.NewRegistry()
-	}
+	reg := heap.NewRegistry()
 	r := &Runtime{reg: reg, space: heap.NewSpace(reg, cfg.HeapBytes)}
 	r.identity = version.NewIdentity(cfg.InstanceID)
 	if cfg.Tenant != "" {
 		r.identity = r.identity.Sub(cfg.Tenant)
 	}
+
+	// The optional layers. Telemetry carries cost attribution and the
+	// pressure tracker; a fleet exporter turns the census on, because the
+	// census is what it ships.
 	if cfg.ProvenanceSample > 0 {
 		r.space.EnableProvenance(cfg.ProvenanceSample)
 	}
-	if cfg.FlightRecorder {
-		r.flight = flight.New(flight.Config{Cycles: cfg.FlightCycles})
-	}
 	if cfg.Telemetry {
 		r.tel = telemetry.New(telemetry.Config{RingSize: cfg.TelemetryRingSize})
+		r.pressure = newPressure(r)
 	}
+	if cfg.Introspection || cfg.FleetURL != "" {
+		r.census = heapdump.NewCensus(r.space, heapdump.Config{Ring: cfg.CensusRingSize})
+		r.census.SetIdentity(r.identity)
+	}
+	if cfg.FlightRecorder {
+		r.flight = flight.New(flight.Config{})
+		r.flight.SetIdentity(r.identity)
+	}
+	if cfg.FleetURL != "" {
+		// Network sends happen on the exporter's own goroutine; a dead
+		// collector costs the GC nothing.
+		r.fleetx = fleet.NewExporter(fleet.ExportConfig{
+			URL:         cfg.FleetURL,
+			Identity:    r.identity,
+			RegistryRef: fleet.RegistryRef(r.reg),
+		})
+	}
+
 	var hooks collector.Hooks
 	if cfg.Infrastructure {
 		// Every violation reaches each sink once, in this order.
@@ -173,35 +210,53 @@ func New(cfg Config) *Runtime {
 		if r.flight != nil {
 			reps = append(reps, core.FuncReporter(func(v *core.Violation) { r.flight.RecordViolation(flightViolation(v)) }))
 		}
-		if cfg.FleetURL != "" {
+		if r.fleetx != nil {
 			// Latch a violation-triggered export: the exporter ships census
 			// and flight bundle at the end of this collection.
 			reps = append(reps, core.FuncReporter(func(*core.Violation) { r.fleetx.NoteViolation() }))
 		}
 		r.engine = core.NewEngine(r.space, reps, cfg.Policy)
+		if cfg.OnViolation != nil {
+			r.engine.SetDecider(cfg.OnViolation)
+		}
+		if r.tel != nil {
+			r.engine.EnableCosts()
+		}
 		hooks = r.engine
 	}
 	r.gc = collector.New(r.space, (*rootScanner)(r), hooks, cfg.Infrastructure)
-	if cfg.CostAttribution {
+
+	// Which layer feeds which.
+	if r.flight != nil {
 		if r.engine != nil {
-			r.engine.EnableCostAttribution()
+			r.flight.SetActivitySource(r.engine.LastCycle)
 		}
-		r.pressure = newPressure(r)
+		if r.census != nil {
+			r.flight.SetCensusSource(r.census.Latest)
+		}
+		r.flight.SetProfileSource(r.siteProfile)
 	}
-	if cfg.Introspection {
-		r.initIntrospection(cfg)
-	}
-	if r.flight != nil {
-		r.initFlight()
-	}
-	// Identity stamps for exported artifacts.
-	if r.census != nil {
-		r.census.SetIdentity(r.identity)
-	}
-	if r.flight != nil {
-		r.flight.SetIdentity(r.identity)
+	if r.fleetx != nil {
+		r.fleetx.SetCensusSource(r.census.Latest)
+		if r.flight != nil {
+			r.fleetx.SetBundleSource(r.flight.Bundle)
+		}
 	}
 	if r.tel != nil {
+		// Telemetry serves every other layer's document over HTTP, and
+		// mirrors each census into per-type gauges.
+		r.tel.SetHeapProfile(func(w io.Writer) error { return r.WriteHeapProfile(w, 0) })
+		if r.census != nil {
+			r.census.SetOnSnapshot((&censusPublisher{reg: r.tel.Registry()}).publish)
+			r.tel.SetCensusSource(r.census.WriteJSON)
+			r.tel.SetLeakSource(r.census.WriteSuspectsJSON)
+		}
+		if r.flight != nil {
+			r.tel.SetFlightSource(func(w io.Writer) error { return r.flight.WriteBundle(w, "http") })
+		}
+		if r.fleetx != nil {
+			r.tel.SetFleetSource(r.writeFleetStatus)
+		}
 		b := r.identity.Build
 		r.tel.Registry().Gauge("gcassert_build_info",
 			"Build and instance identity of this runtime (value is always 1; the information is in the labels).",
@@ -211,9 +266,7 @@ func New(cfg Config) *Runtime {
 			telemetry.Label{Name: "instance", Value: r.identity.InstanceID},
 		).Set(1)
 	}
-	if cfg.FleetURL != "" {
-		r.initFleet(cfg)
-	}
+
 	// The collector notifies its observers in this order. The pressure
 	// tracker stamps the Trigger every later observer reads; census before
 	// flight recorder before fleet exporter, because each reads what the one

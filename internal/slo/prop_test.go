@@ -37,10 +37,9 @@ func TestBudgetAccountingReconciles(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			var violations uint64
 			vm := gcassert.New(gcassert.Options{
-				HeapBytes:       cfg.heap,
-				Infrastructure:  true,
-				Telemetry:       true,
-				CostAttribution: true,
+				HeapBytes:      cfg.heap,
+				Infrastructure: true,
+				Telemetry:      true,
 				OnViolation: func(*gcassert.Violation) gcassert.Reaction {
 					violations++
 					return gcassert.ReactLog

@@ -81,21 +81,20 @@ type Event struct {
 	WordsFreed    int `json:"words_freed"`
 	// Kinds is per-assertion-kind activity (nil in Base mode).
 	Kinds []KindCount `json:"kinds,omitempty"`
-	// Trigger is the one-line trigger explanation (empty unless the runtime
-	// has cost attribution on).
+	// Trigger is the one-line trigger explanation (the runtime's pressure
+	// tracker stamps it on every collection).
 	Trigger string `json:"trigger,omitempty"`
 	// OccupancyPct is the heap occupancy observed at trigger time;
 	// AllocRateWps the allocation-rate EWMA (words/second) and TriggerThread
 	// the dominant allocating thread of the inter-GC window. All zero
-	// without cost attribution.
+	// without a Trigger.
 	OccupancyPct  float64 `json:"occupancy_pct,omitempty"`
 	AllocRateWps  float64 `json:"alloc_rate_wps,omitempty"`
 	TriggerThread string  `json:"trigger_thread,omitempty"`
-	// Costs is per-assertion-kind cost attribution (nil unless attribution
-	// is on and the collection ran assertion checks).
+	// Costs is per-assertion-kind cost attribution (nil in Base mode and
+	// when the collection ran no assertion checks).
 	Costs []AssertCost `json:"assert_costs,omitempty"`
-	// Threads is per-thread cumulative allocation volume at event time (nil
-	// without cost attribution).
+	// Threads is per-thread cumulative allocation volume at event time.
 	Threads []ThreadAlloc `json:"threads,omitempty"`
 	// Request is the request tag active when the collection began, as 16
 	// lowercase hex digits (the tracing layer sets Runtime.SetRequestTag

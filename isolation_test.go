@@ -29,11 +29,10 @@ func TestConcurrentRuntimesShareNothing(t *testing.T) {
 	mk := func() *world {
 		w := &world{viols: &gcassert.CollectingReporter{}}
 		w.vm = gcassert.New(gcassert.Options{
-			HeapBytes:       1 << 20,
-			Infrastructure:  true,
-			Reporter:        w.viols,
-			Telemetry:       true,
-			CostAttribution: true,
+			HeapBytes:      1 << 20,
+			Infrastructure: true,
+			Reporter:       w.viols,
+			Telemetry:      true,
 		})
 		return w
 	}
