@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -169,6 +170,45 @@ func TestFleetURLTurnsTheCensusOn(t *testing.T) {
 	}
 	if census != 1 {
 		t.Fatalf("store holds %d census envelopes, want 1 (exporter stats %+v)", census, vm.FleetExporter().Stats())
+	}
+}
+
+// TestFleetRegistryRefFollowsDefinedTypes: an envelope's registry ref
+// covers the types defined before its collection, not only the builtins
+// present when the runtime was created. Two runtimes that define T with
+// different fields ship different refs; two that define the same T ship the
+// same one.
+func TestFleetRegistryRefFollowsDefinedTypes(t *testing.T) {
+	store, err := fleet.OpenStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(fleet.NewServer(store).Handler())
+	defer ts.Close()
+
+	shipRef := func(id string, fields ...gcassert.Field) string {
+		vm := gcassert.New(gcassert.Options{Infrastructure: true, InstanceID: id, FleetURL: ts.URL})
+		vm.Define("T", fields...)
+		vm.Collect()
+		vm.CloseFleet()
+		var refs []string
+		for _, m := range store.List() {
+			if slices.Contains(m.Instances, id) {
+				refs = append(refs, m.RegistryRef)
+			}
+		}
+		if len(refs) != 1 {
+			t.Fatalf("%s shipped %d envelopes, want 1", id, len(refs))
+		}
+		return refs[0]
+	}
+	scalar := shipRef("scalar-a", gcassert.Field{Name: "x"})
+	ref := shipRef("ref", gcassert.Field{Name: "x", Ref: true})
+	if scalar == ref {
+		t.Fatalf("runtimes defining T with different fields shipped the same registry ref %s", ref)
+	}
+	if again := shipRef("scalar-b", gcassert.Field{Name: "x"}); again != scalar {
+		t.Fatalf("runtimes defining the same T shipped refs %s and %s", scalar, again)
 	}
 }
 

@@ -39,8 +39,11 @@ func (e *Engine) ownershipPhase(c *collector.Collector) {
 		e.ostack = append(e.ostack, rec.owner)
 		e.drainOwnership()
 		// Now trace the subtrees hanging off the queued ownees. The queue
-		// grows as nested ownees of the same owner are discovered.
+		// grows as nested ownees of the same owner are discovered. It is
+		// drained in order, so the subtrees a few positions ahead are
+		// prefetched while the current one is traced.
 		for qi := 0; qi < len(e.owneeQueue); qi++ {
+			e.space.PrefetchQueue(e.owneeQueue, qi)
 			e.ostack = append(e.ostack[:0], e.owneeQueue[qi])
 			e.drainOwnership()
 		}

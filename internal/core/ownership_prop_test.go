@@ -360,4 +360,245 @@ func TestPropertyOwnershipDifferential(t *testing.T) {
 			t.Fatalf("a hazard was never exercised: %+v", tally)
 		}
 	})
+	t.Run("long queues", func(t *testing.T) {
+		var tally queueTally
+		for seed := int64(1); seed <= 12; seed++ {
+			longQueues(t, seed, &tally)
+		}
+		t.Logf("%+v", tally)
+		if tally.nested == 0 || tally.longArrays == 0 || tally.wide == 0 || tally.nilSlots == 0 ||
+			tally.deadInSubtree == 0 || tally.improper == 0 || tally.ownedBy == 0 {
+			t.Fatalf("a shape was never built: %+v", tally)
+		}
+	})
+}
+
+// queueTally counts the shapes the long-queue subtest exists for: each must
+// occur, or the subtest no longer reaches what it is meant to.
+type queueTally struct {
+	ownees, nested, longArrays, wide, nilSlots, deadInSubtree, improper, ownedBy int
+}
+
+// longQueues builds one heap whose owners each hold at least 64 ownees —
+// so the pre-phase's ownee queue runs far past the lookahead of
+// heap.Space.PrefetchQueue and every stage of it is reached — collects
+// once and compares with refmodel.Collect. The ownees are records with
+// subtrees, reference arrays longer than a prefetch stage's cap, wide
+// objects and word arrays; some are nested (reached only through another
+// ownee, so they join the queue while it drains), some are reached from
+// another owner's region, some from the roots only. Slots are often Nil,
+// and objects inside the subtrees are asserted dead. Every owner is rooted,
+// so the survivors are the reachable objects (ROADMAP item 1's hole needs
+// an owner reached only through its own region).
+func longQueues(t *testing.T, seed int64, tally *queueTally) {
+	rng := rand.New(rand.NewSource(seed))
+	rep := &core.CollectingReporter{}
+	vm := rt.New(rt.Config{Infrastructure: true, Reporter: rep, HeapBytes: 16 << 20})
+	s := vm.Space()
+	tOwner := vm.Define("Owner", heap.Field{Name: "table", Ref: true})
+	tNode := vm.Define("Node", heap.Field{Name: "a", Ref: true}, heap.Field{Name: "k"}, heap.Field{Name: "b", Ref: true})
+	var wideFields []heap.Field
+	for i := 0; i < 70; i++ {
+		wideFields = append(wideFields, heap.Field{Name: fmt.Sprintf("f%d", i), Ref: i%3 != 1})
+	}
+	tWide := vm.Define("Wide", wideFields...)
+	th := vm.NewThread("main")
+	fr := th.Push(0)
+	own := refmodel.Ownership{OwnerOf: map[heap.Addr]heap.Addr{}}
+	var dead []heap.Addr
+
+	// refSlots lists the reference slots of a Node, Wide or reference array.
+	refSlots := func(a heap.Addr) []int {
+		var out []int
+		switch typ := s.TypeOf(a); typ {
+		case tNode:
+			out = []int{0, 2}
+		case tWide:
+			for i, f := range wideFields {
+				if f.Ref {
+					out = append(out, i)
+				}
+			}
+		case heap.TRefArray:
+			for i := 0; i < s.ArrayLen(a); i++ {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	setSlot := func(a heap.Addr, slot int, v heap.Addr) {
+		if s.TypeOf(a) == heap.TRefArray {
+			s.SetRefAt(a, slot, v)
+		} else {
+			s.SetRef(a, slot, v)
+		}
+	}
+	// interior collects the subtrees' objects with ref slots, where the
+	// edges between regions are hung.
+	var interior []heap.Addr
+	var subtree func(depth int) heap.Addr
+	fill := func(a heap.Addr, depth int) {
+		for _, slot := range refSlots(a) {
+			r := subtree(depth)
+			if r == heap.Nil {
+				tally.nilSlots++
+			}
+			setSlot(a, slot, r)
+		}
+	}
+	subtree = func(depth int) heap.Addr {
+		var a heap.Addr
+		switch r := rng.Intn(8); {
+		case depth == 0 || r == 0:
+			return heap.Nil
+		case r == 1:
+			return th.NewArray(heap.TWordArray, 1+rng.Intn(6))
+		case r <= 5:
+			a = th.New(tNode)
+			s.SetScalar(a, 1, rng.Uint64())
+		default:
+			a = th.NewArray(heap.TRefArray, 1+rng.Intn(4))
+		}
+		fill(a, depth-1)
+		interior = append(interior, a)
+		if rng.Intn(10) == 0 {
+			vm.AssertDead(a)
+			dead = append(dead, a)
+		}
+		return a
+	}
+	owners := make([]heap.Addr, 2+rng.Intn(2))
+	var ownees [][]heap.Addr // per owner, the ownees not asserted dead
+	for oi := range owners {
+		o := th.New(tOwner)
+		fr.Add(o)
+		owners[oi] = o
+		n := 64 + rng.Intn(40)
+		table := th.NewArray(heap.TRefArray, n)
+		s.SetRef(o, 0, table)
+		var placed, mine []heap.Addr
+		for i := 0; i < n; i++ {
+			var x heap.Addr
+			switch k := rng.Intn(10); {
+			case k < 6:
+				x = th.New(tNode)
+			case k < 8:
+				x = th.NewArray(heap.TRefArray, 9+rng.Intn(12))
+				tally.longArrays++
+			case k < 9:
+				x = th.New(tWide)
+				tally.wide++
+			default:
+				x = th.NewArray(heap.TWordArray, 3)
+			}
+			fill(x, 3)
+			vm.AssertOwnedBy(o, x)
+			own.OwnerOf[x] = o
+			tally.ownees++
+			switch {
+			case len(placed) > 0 && rng.Intn(6) == 0:
+				// Nested: hung in an earlier ownee's slot, so it is queued
+				// while the queue drains.
+				h := placed[rng.Intn(len(placed))]
+				if slots := refSlots(h); len(slots) > 0 {
+					setSlot(h, slots[rng.Intn(len(slots))], x)
+					tally.nested++
+					placed = append(placed, x)
+					continue
+				}
+				fallthrough
+			case rng.Intn(20) != 0:
+				s.SetRefAt(table, i, x)
+				placed = append(placed, x)
+			default:
+				fr.Add(x) // reached from the roots only
+			}
+			if rng.Intn(25) == 0 {
+				vm.AssertDead(x)
+				dead = append(dead, x)
+				continue
+			}
+			mine = append(mine, x)
+		}
+		own.Order = append(own.Order, o)
+		ownees = append(ownees, mine)
+	}
+	// Edges between regions: an interior node pointing at an owner or at an
+	// ownee not asserted dead. (A dead report sets the per-cycle flag that
+	// also suppresses the improper-ownership report, which the model does
+	// not predict.)
+	for i := 0; i < 6; i++ {
+		a := interior[rng.Intn(len(interior))]
+		slots := refSlots(a)
+		if len(slots) == 0 {
+			continue
+		}
+		var v heap.Addr
+		if rng.Intn(3) == 0 {
+			v = owners[rng.Intn(len(owners))]
+		} else {
+			list := ownees[rng.Intn(len(ownees))]
+			v = list[rng.Intn(len(list))]
+		}
+		setSlot(a, slots[rng.Intn(len(slots))], v)
+	}
+	if n := vm.Collector().GCCount(); n != 0 {
+		t.Fatalf("seed %d: %d collections while building the heap", seed, n)
+	}
+
+	var roots []heap.Addr
+	for i := 0; i < fr.Len(); i++ {
+		roots = append(roots, fr.Get(i))
+	}
+	g := refmodel.FromSpace(s, roots)
+	want := g.Collect(own)
+	reach := g.Reachable()
+	wantDead := map[heap.Addr]bool{}
+	for _, x := range dead {
+		if reach[x] {
+			wantDead[x] = true
+			if _, ownee := own.OwnerOf[x]; !ownee {
+				tally.deadInSubtree++
+			}
+		}
+	}
+
+	checked0 := vm.Engine().Stats().OwneesChecked
+	vm.Collect()
+	got := map[core.Kind]map[heap.Addr]bool{core.KindOwnedBy: {}, core.KindImproperOwnership: {}, core.KindDead: {}}
+	for _, v := range rep.Violations() {
+		set, ok := got[v.Kind]
+		if !ok || set[v.Object] {
+			t.Fatalf("seed %d: unexpected or duplicate violation:\n%s", seed, v.String())
+		}
+		set[v.Object] = true
+		for i := 0; i+1 < len(v.Path); i++ {
+			if !g.HasEdge(v.Path[i].Addr, v.Path[i+1].Addr) {
+				t.Fatalf("seed %d: reported path has no edge %#x -> %#x:\n%s", seed, uint32(v.Path[i].Addr), uint32(v.Path[i+1].Addr), v.String())
+			}
+		}
+		if n := len(v.Path); n == 0 || v.Path[n-1].Addr != v.Object {
+			t.Fatalf("seed %d: reported path does not end at the object:\n%s", seed, v.String())
+		}
+	}
+	sameSet(t, "assert-ownedby", got[core.KindOwnedBy], want.OwnedBy)
+	sameSet(t, "improper-ownership", got[core.KindImproperOwnership], want.Improper)
+	sameSet(t, "assert-dead", got[core.KindDead], wantDead)
+	tally.ownedBy += len(want.OwnedBy)
+	tally.improper += len(want.Improper)
+	if d := vm.Engine().Stats().OwneesChecked - checked0; d != want.Checked {
+		t.Fatalf("seed %d: OwneesChecked grew by %d, model met %d ownee edges", seed, d, want.Checked)
+	}
+	for a := range g.Refs {
+		if s.Contains(a) != want.Survivors[a] || want.Survivors[a] != reach[a] {
+			t.Fatalf("seed %d: %#x: allocated=%v after the collection, model keeps %v, reachable %v",
+				seed, uint32(a), s.Contains(a), want.Survivors[a], reach[a])
+		}
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatalf("seed %d: heap invariant: %v", seed, err)
+	}
+	if err := vm.Engine().CheckOwneeTable(); err != nil {
+		t.Fatalf("seed %d: side-table invariant: %v", seed, err)
+	}
 }

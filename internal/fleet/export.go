@@ -11,6 +11,7 @@ import (
 
 	"gcassert/internal/collector"
 	"gcassert/internal/flight"
+	"gcassert/internal/heap"
 	"gcassert/internal/heapdump"
 	"gcassert/internal/version"
 )
@@ -27,12 +28,21 @@ import (
 // instead. ExportLatest may be called from any goroutine (the census ring is
 // mutex-guarded).
 type Exporter struct {
-	url         string
-	every       int
-	queueLimit  int
-	identity    version.Identity
+	url        string
+	every      int
+	queueLimit int
+	identity   version.Identity
+	client     *http.Client
+
+	// registryRef keys every sealed hash: reg's RegistryRef, recomputed at
+	// the start of a collection whenever the registry has grown since
+	// (regTypes is its NumTypes then), so an envelope is keyed by the
+	// types its collection saw. registryRef is guarded by mu, because
+	// ExportLatest seals from any goroutine; reg and regTypes are read on
+	// the collecting goroutine only.
+	reg         *heap.Registry
+	regTypes    int
 	registryRef string
-	client      *http.Client
 
 	censusFn func() (heapdump.Snapshot, bool)
 	bundleFn func(trigger string) flight.Bundle
@@ -76,9 +86,11 @@ type ExportConfig struct {
 	// QueueLimit bounds the unsent-envelope queue (default 64; oldest
 	// dropped on overflow).
 	QueueLimit int
-	// Identity stamps every envelope; RegistryRef keys every hash.
-	Identity    version.Identity
-	RegistryRef string
+	// Identity stamps every envelope. Registry's RegistryRef, as of the
+	// collection an envelope comes from, keys its hash, so types defined
+	// after the exporter was created are part of it.
+	Identity version.Identity
+	Registry *heap.Registry
 	// Client overrides the HTTP client (default: 5s timeout).
 	Client *http.Client
 }
@@ -95,14 +107,14 @@ func NewExporter(cfg ExportConfig) *Exporter {
 		cfg.Client = &http.Client{Timeout: 5 * time.Second}
 	}
 	e := &Exporter{
-		url:         cfg.URL,
-		every:       cfg.Every,
-		queueLimit:  cfg.QueueLimit,
-		identity:    cfg.Identity,
-		registryRef: cfg.RegistryRef,
-		client:      cfg.Client,
-		wake:        make(chan struct{}, 1),
-		stop:        make(chan struct{}),
+		url:        cfg.URL,
+		every:      cfg.Every,
+		queueLimit: cfg.QueueLimit,
+		identity:   cfg.Identity,
+		reg:        cfg.Registry,
+		client:     cfg.Client,
+		wake:       make(chan struct{}, 1),
+		stop:       make(chan struct{}),
 	}
 	e.wg.Add(1)
 	go e.sender()
@@ -128,8 +140,18 @@ func (e *Exporter) NoteViolation() { e.violLatch.Store(true) }
 
 var _ collector.Observer = (*Exporter)(nil)
 
-// GCBegin implements collector.Observer; the exporter acts in GCEnd.
-func (e *Exporter) GCBegin(*collector.Collection) {}
+// GCBegin implements collector.Observer: bring the registry ref up to date
+// with the types defined before this collection. No type can be defined
+// during it, so every envelope sealed from it is keyed by that ref.
+func (e *Exporter) GCBegin(*collector.Collection) {
+	if e.reg == nil || e.reg.NumTypes() == e.regTypes {
+		return
+	}
+	ref, n := RegistryRef(e.reg), e.reg.NumTypes()
+	e.mu.Lock()
+	e.registryRef, e.regTypes = ref, n
+	e.mu.Unlock()
+}
 
 // GCEnd implements collector.Observer: decide whether this cycle exports,
 // seal the envelopes, and hand them to the sender.
@@ -197,7 +219,10 @@ func (e *Exporter) enqueueCensus(snap *heapdump.Snapshot, nowNs int64) string {
 }
 
 func (e *Exporter) enqueue(kind string, payload []byte, nowNs int64) string {
-	env, err := Seal(kind, e.registryRef, e.identity, nowNs, payload)
+	e.mu.Lock()
+	ref := e.registryRef
+	e.mu.Unlock()
+	env, err := Seal(kind, ref, e.identity, nowNs, payload)
 	if err != nil {
 		return ""
 	}

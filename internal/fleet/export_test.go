@@ -47,10 +47,9 @@ func TestExporterIntervalExport(t *testing.T) {
 	srv, ts := newTestServer(t)
 	census := &fakeCensus{}
 	exp := NewExporter(ExportConfig{
-		URL:         ts.URL,
-		Every:       2,
-		Identity:    version.NewIdentity("replica-a"),
-		RegistryRef: "reg1-export-test",
+		URL:      ts.URL,
+		Every:    2,
+		Identity: version.NewIdentity("replica-a"),
 	})
 	exp.SetCensusSource(census.latest)
 
@@ -88,10 +87,9 @@ func TestExporterViolationShipsFlightBundle(t *testing.T) {
 	srv, ts := newTestServer(t)
 	census := &fakeCensus{}
 	exp := NewExporter(ExportConfig{
-		URL:         ts.URL,
-		Every:       1000, // interval effectively off
-		Identity:    version.NewIdentity("replica-a"),
-		RegistryRef: "reg1-export-test",
+		URL:      ts.URL,
+		Every:    1000, // interval effectively off
+		Identity: version.NewIdentity("replica-a"),
 	})
 	defer exp.Close()
 	exp.SetCensusSource(census.latest)
@@ -129,9 +127,8 @@ func TestExporterIdenticalReplicasDedupe(t *testing.T) {
 	for _, id := range []string{"replica-a", "replica-b"} {
 		census := &fakeCensus{}
 		exp := NewExporter(ExportConfig{
-			URL:         ts.URL,
-			Identity:    version.NewIdentity(id),
-			RegistryRef: "reg1-export-test",
+			URL:      ts.URL,
+			Identity: version.NewIdentity(id),
 		})
 		exp.SetCensusSource(census.latest)
 		census.advance(3, 500)
@@ -154,10 +151,9 @@ func TestExporterExportLatestOnDemand(t *testing.T) {
 	srv, ts := newTestServer(t)
 	census := &fakeCensus{}
 	exp := NewExporter(ExportConfig{
-		URL:         ts.URL,
-		Every:       1000,
-		Identity:    version.NewIdentity("replica-a"),
-		RegistryRef: "reg1-export-test",
+		URL:      ts.URL,
+		Every:    1000,
+		Identity: version.NewIdentity("replica-a"),
 	})
 	defer exp.Close()
 	exp.SetCensusSource(census.latest)
@@ -179,11 +175,10 @@ func TestExporterExportLatestOnDemand(t *testing.T) {
 func TestExporterSurvivesDeadCollector(t *testing.T) {
 	census := &fakeCensus{}
 	exp := NewExporter(ExportConfig{
-		URL:         "http://127.0.0.1:1", // nothing listens here
-		QueueLimit:  2,
-		Identity:    version.NewIdentity("replica-a"),
-		RegistryRef: "reg1-export-test",
-		Client:      &http.Client{Timeout: 200 * time.Millisecond},
+		URL:        "http://127.0.0.1:1", // nothing listens here
+		QueueLimit: 2,
+		Identity:   version.NewIdentity("replica-a"),
+		Client:     &http.Client{Timeout: 200 * time.Millisecond},
 	})
 	exp.SetCensusSource(census.latest)
 	for seq := uint64(0); seq < 5; seq++ {

@@ -188,9 +188,9 @@ func New(cfg Config) *Runtime {
 		// Network sends happen on the exporter's own goroutine; a dead
 		// collector costs the GC nothing.
 		r.fleetx = fleet.NewExporter(fleet.ExportConfig{
-			URL:         cfg.FleetURL,
-			Identity:    r.identity,
-			RegistryRef: fleet.RegistryRef(r.reg),
+			URL:      cfg.FleetURL,
+			Identity: r.identity,
+			Registry: r.reg,
 		})
 	}
 
