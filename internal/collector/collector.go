@@ -4,10 +4,11 @@
 //
 //   - an optional ownership pre-phase run by the assertion engine before
 //     root scanning (§2.5.2),
-//   - a depth-first mark phase over a worklist in which the current object
+//   - a depth-first mark phase over worklists, the lanes (trace.go), run
+//     one at a time or interleaved, in each of which the current object
 //     stays on the worklist with its low-order address bit set, so that at
-//     any moment the set-bit entries spell out the complete path from a root
-//     to the current object (§2.7),
+//     any moment the set-bit entries of the lane being scanned spell out
+//     the complete path from a root to the current object (§2.7),
 //   - per-edge assertion checks performed only in Infrastructure mode, so
 //     the Base configuration measures the unmodified collector,
 //   - a sweep phase provided by the heap.
@@ -84,23 +85,44 @@ type Collector struct {
 	hooks Hooks
 	infra bool
 
-	// stack is the mark worklist. In infrastructure mode entries may carry
-	// the visited bit (bit 0), which is guaranteed free by word alignment.
-	stack []heap.Addr
-
-	// curParent and curRootDesc identify the edge source while scanning;
-	// col is the in-progress collection record.
-	curParent   heap.Addr
-	curRootDesc string
-	col         *Collection
+	// lanes are the marker's worklists (trace.go); lane is the one being
+	// scanned. In infrastructure mode entries may carry the visited bit
+	// (bit 0), which is guaranteed free by word alignment.
+	lanes [numLanes]lane
+	lane  *lane
+	// rootBuf holds the cycle's root slots, which idle lanes take in order
+	// from nextRoot; addRoot appends one, and is made once so that the root
+	// scan allocates nothing. marked counts the cycle's marks. prefetch is
+	// off while one lane runs alone. stop holds the header flags whose edges
+	// go to the hooks: the assertion flags when hooks are installed in
+	// infrastructure mode, none otherwise.
+	rootBuf  []Root
+	addRoot  func(Root)
+	nextRoot int
+	marked   int
+	prefetch bool
+	stop     heap.Flag
+	// window is the length of the regime probe's window: probeScans, or
+	// what a test sets to make small heaps change regime (0: interleave
+	// from the first scan, with no probe).
+	window int
+	// marking is set from the start of the ownership pre-phase to the end
+	// of the sweep. A collection that finds it set follows one that a hook
+	// panicked out of (a ReactHalt), whose marks are still in the headers.
+	marking bool
 
 	// Observers are notified at both ends of every collection, in list
 	// order. The runtime fills the list once, when it is built.
 	Observers []Observer
 
+	// checkMark, when set (by tests), receives VerifyMark's verdict after
+	// every mark phase.
+	checkMark func(error)
+
 	gcCount uint64
 	stats   Stats
 	last    Collection
+	rec     Collection // the record of the collection in progress
 
 	// requestTag, when non-zero, stamps every collection record with the
 	// request currently executing (Collection.Request). Set and cleared by
@@ -115,7 +137,9 @@ type Collector struct {
 // dispatch, which is exactly the paper's "Infrastructure" configuration
 // before any assertions are added.
 func New(space *heap.Space, roots RootScanner, hooks Hooks, infra bool) *Collector {
-	return &Collector{space: space, roots: roots, hooks: hooks, infra: infra}
+	c := &Collector{space: space, roots: roots, hooks: hooks, infra: infra, window: probeScans}
+	c.addRoot = func(r Root) { c.rootBuf = append(c.rootBuf, r) }
+	return c
 }
 
 // Space returns the collector's heap.
@@ -139,11 +163,18 @@ func (c *Collector) SetRequestTag(tag uint64) { c.requestTag = tag }
 // ReasonForced).
 func (c *Collector) Collect(reason Reason) Collection {
 	start := time.Now()
-	col := Collection{Seq: c.gcCount, Reason: reason, Start: start, Request: c.requestTag}
+	// The record is built in the collector, not on the heap: observers see
+	// it through a pointer, and a fresh record would escape per cycle.
+	c.rec = Collection{Seq: c.gcCount, Reason: reason, Start: start, Request: c.requestTag}
+	col := &c.rec
 	for _, o := range c.Observers {
-		o.GCBegin(&col)
+		o.GCBegin(col)
 	}
 
+	if c.marking {
+		c.unmarkAll()
+	}
+	c.marking = true
 	hooked := c.infra && c.hooks != nil
 	if hooked {
 		col.PhaseStart[PhaseOwnership] = time.Now()
@@ -152,12 +183,11 @@ func (c *Collector) Collect(reason Reason) Collection {
 	}
 
 	col.PhaseStart[PhaseMark] = time.Now()
-	if c.infra {
-		c.markInfra(&col)
-	} else {
-		c.markBase(&col)
-	}
+	c.mark(col)
 	col.MarkTime = time.Since(col.PhaseStart[PhaseMark])
+	if c.checkMark != nil {
+		c.checkMark(c.VerifyMark())
+	}
 
 	if hooked {
 		c.hooks.PostMark(c)
@@ -165,6 +195,7 @@ func (c *Collector) Collect(reason Reason) Collection {
 
 	col.PhaseStart[PhaseSweep] = time.Now()
 	sw := c.space.Sweep()
+	c.marking = false
 	col.SweepTime = time.Since(col.PhaseStart[PhaseSweep])
 	col.ObjectsFreed = sw.ObjectsFreed
 	col.ObjectsLive = sw.ObjectsLive
@@ -175,12 +206,23 @@ func (c *Collector) Collect(reason Reason) Collection {
 	col.TotalTime = time.Since(start)
 
 	c.gcCount++
-	c.stats.add(col)
-	c.last = col
+	c.stats.add(*col)
+	c.last = *col
 	for _, o := range c.Observers {
-		o.GCEnd(&col)
+		o.GCEnd(col)
 	}
-	return col
+	return *col
+}
+
+// unmarkAll clears the mark bit of every object, which a collection that
+// was abandoned before its sweep left set: a marked object is one the next
+// trace would not scan, and its unmarked children would be swept while
+// reachable.
+func (c *Collector) unmarkAll() {
+	c.space.ForEachObject(func(a heap.Addr) bool {
+		c.space.ClearMark(a)
+		return true
+	})
 }
 
 // Last returns the record of the most recent collection.

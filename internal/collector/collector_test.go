@@ -75,6 +75,11 @@ func checkCollectMatchesOracle(t *testing.T, infra bool, seed int64) {
 	// ForEachRef, which the marker uses.
 	want := refmodel.FromSpace(s, roots.slots).Reachable()
 	c := New(s, roots, nil, infra)
+	c.checkMark = func(err error) {
+		if err != nil {
+			t.Fatalf("seed %d infra=%v: after the mark: %v", seed, infra, err)
+		}
+	}
 	col := c.Collect("test")
 	got := liveSet(s)
 
@@ -350,5 +355,83 @@ func TestDuplicateRoots(t *testing.T) {
 	}
 	if col.RootsScanned != 3 {
 		t.Errorf("roots scanned = %d", col.RootsScanned)
+	}
+}
+
+// TestSteadyCollectionAllocatesNothing pins the marker's host allocations:
+// once the lanes' worklists and the root buffer have grown, collecting a
+// fixed graph whose fan-out exceeds the lane count allocates nothing, in
+// either configuration and either regime (this heap stays sequential under
+// the default probe; window 0 interleaves it throughout).
+func TestSteadyCollectionAllocatesNothing(t *testing.T) {
+	for _, mode := range []struct {
+		infra  bool
+		window int
+	}{{false, probeScans}, {true, probeScans}, {false, 0}, {true, 0}} {
+		infra := mode.infra
+		rng := rand.New(rand.NewSource(7))
+		s, node := testWorld(t, 4<<20)
+		objs := buildRandomGraph(t, s, node, 500, rng)
+		fan, _ := s.Allocate(heap.TRefArray, 4*numLanes)
+		for i := 0; i < s.ArrayLen(fan); i++ {
+			s.SetRefAt(fan, i, objs[rng.Intn(len(objs))])
+		}
+		roots := &sliceRoots{slots: []heap.Addr{fan, objs[0]}}
+		c := New(s, roots, &recordingHooks{}, infra)
+		c.window = mode.window
+		c.Collect("warm")
+		if allocs := testing.AllocsPerRun(20, func() { c.Collect("steady") }); allocs != 0 {
+			t.Errorf("infra=%v window=%d: a steady-state collection allocates %.1f times", infra, mode.window, allocs)
+		}
+	}
+}
+
+// TestProbeFollowsLayout: the regime probe counts how many of its scans
+// land near the ones before. A tree allocated in the order the marker
+// traces it (depth first, as the DaCapo-shaped workloads build theirs)
+// keeps the sequential regime; the same tree with each node followed by
+// garbage of its size class, so that no two live nodes share a page,
+// switches to interleaving once the probe window is over. Either way the
+// mark is complete.
+func TestProbeFollowsLayout(t *testing.T) {
+	for _, spread := range []bool{false, true} {
+		reg := heap.NewRegistry()
+		node := reg.Define("T", heap.Field{Name: "a", Ref: true}, heap.Field{Name: "b", Ref: true},
+			heap.Field{Name: "c", Ref: true}, heap.Field{Name: "d", Ref: true}, heap.Field{Name: "v"})
+		s := heap.NewSpace(reg, 16<<20)
+		alloc := func() heap.Addr {
+			a, ok := s.Allocate(node, 0)
+			for k := 0; spread && k < 2*nearBytes; k += 8 * s.SizeWords(a) {
+				s.Allocate(node, 0)
+			}
+			if !ok {
+				t.Fatal("heap exhausted")
+			}
+			return a
+		}
+		var build func(depth int) heap.Addr
+		build = func(depth int) heap.Addr {
+			a := alloc()
+			for i := 0; depth > 0 && i < 4; i++ {
+				s.SetRef(a, i, build(depth-1))
+			}
+			return a
+		}
+		roots := &sliceRoots{slots: []heap.Addr{build(5)}} // 1 365 nodes
+		c := New(s, roots, nil, false)
+		c.window = 256
+		c.checkMark = func(err error) {
+			if err != nil {
+				t.Fatalf("spread=%v: after the mark: %v", spread, err)
+			}
+		}
+		col := c.Collect("probe")
+		if col.ObjectsMarked != 1365 {
+			t.Fatalf("spread=%v: marked %d nodes, want 1365", spread, col.ObjectsMarked)
+		}
+		// Only the interleaved regime runs a lane other than lane 0.
+		if interleaved := cap(c.lanes[1].stack) > 0; interleaved != spread {
+			t.Errorf("spread=%v: interleaved=%v", spread, interleaved)
+		}
 	}
 }

@@ -50,7 +50,8 @@ func (p Phase) String() string {
 //
 // Both methods run inside the stop-the-world collection on the runtime's
 // goroutine; implementations must not allocate on or write to the managed
-// heap.
+// heap. The record belongs to the collector and is reused by the next
+// collection: an observer copies what it keeps.
 type Observer interface {
 	// GCBegin runs before any phase, with the record being built: Seq,
 	// Reason, Start and Request are set. It may stamp the record.

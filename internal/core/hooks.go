@@ -88,7 +88,7 @@ func (e *Engine) onDeadReachable(c *collector.Collector, obj heap.Addr, f heap.F
 		return collector.EdgeProceed
 	}
 	e.stats.DeadViolations++
-	e.markLogged(obj)
+	e.markLogged(obj, flagLogged)
 	root, ancestors := e.edgeContext(c)
 	v := &Violation{
 		Kind:     KindDead,
@@ -112,7 +112,7 @@ func (e *Engine) onDeadReachable(c *collector.Collector, obj heap.Addr, f heap.F
 // object. As the paper notes (§2.7), only the second path is available.
 func (e *Engine) onSharedUnshared(c *collector.Collector, obj heap.Addr) {
 	e.stats.UnsharedViolations++
-	e.markLogged(obj)
+	e.markLogged(obj, flagLogged)
 	root, ancestors := e.edgeContext(c)
 	v := &Violation{
 		Kind:     KindUnshared,
@@ -166,7 +166,7 @@ func (e *Engine) PostMark(c *collector.Collector) {
 	// Reset per-cycle duplicate suppression.
 	for _, a := range e.logged {
 		if s.Marked(a) {
-			s.ClearFlag(a, flagLogged)
+			s.ClearFlag(a, flagLogged|flagImproper)
 		}
 	}
 	e.logged = e.logged[:0]

@@ -88,10 +88,10 @@ func (e *Engine) ownVisit(slot int, t heap.Addr) {
 	if f&heap.FlagOwnee != 0 {
 		e.stats.OwneesChecked++
 		// Membership is one indexed load from the ownee→owner side table.
-		if asserted := e.ownerOf(t); asserted != rec.owner && f&flagLogged == 0 {
+		if asserted := e.ownerOf(t); asserted != rec.owner && f&flagImproper == 0 {
 			// Overlap between owner regions: improper use of the assertion.
 			e.stats.ImproperOwnership++
-			e.markLogged(t)
+			e.markLogged(t, flagImproper)
 			root, ancestors := e.edgeContext(e.col)
 			e.report(&Violation{
 				Kind:     KindImproperOwnership,

@@ -367,7 +367,7 @@ func TestPropertyOwnershipDifferential(t *testing.T) {
 		}
 		t.Logf("%+v", tally)
 		if tally.nested == 0 || tally.longArrays == 0 || tally.wide == 0 || tally.nilSlots == 0 ||
-			tally.deadInSubtree == 0 || tally.improper == 0 || tally.ownedBy == 0 {
+			tally.deadInSubtree == 0 || tally.improper == 0 || tally.ownedBy == 0 || tally.deadImproper == 0 {
 			t.Fatalf("a shape was never built: %+v", tally)
 		}
 	})
@@ -376,7 +376,7 @@ func TestPropertyOwnershipDifferential(t *testing.T) {
 // queueTally counts the shapes the long-queue subtest exists for: each must
 // occur, or the subtest no longer reaches what it is meant to.
 type queueTally struct {
-	ownees, nested, longArrays, wide, nilSlots, deadInSubtree, improper, ownedBy int
+	ownees, nested, longArrays, wide, nilSlots, deadInSubtree, improper, ownedBy, deadImproper int
 }
 
 // longQueues builds one heap whose owners each hold at least 64 ownees —
@@ -468,7 +468,8 @@ func longQueues(t *testing.T, seed int64, tally *queueTally) {
 		return a
 	}
 	owners := make([]heap.Addr, 2+rng.Intn(2))
-	var ownees [][]heap.Addr // per owner, the ownees not asserted dead
+	var ownees [][]heap.Addr // per owner, its ownees
+	var deadOwnees []heap.Addr
 	for oi := range owners {
 		o := th.New(tOwner)
 		fr.Add(o)
@@ -516,17 +517,16 @@ func longQueues(t *testing.T, seed int64, tally *queueTally) {
 			if rng.Intn(25) == 0 {
 				vm.AssertDead(x)
 				dead = append(dead, x)
-				continue
+				deadOwnees = append(deadOwnees, x)
 			}
 			mine = append(mine, x)
 		}
 		own.Order = append(own.Order, o)
 		ownees = append(ownees, mine)
 	}
-	// Edges between regions: an interior node pointing at an owner or at an
-	// ownee not asserted dead. (A dead report sets the per-cycle flag that
-	// also suppresses the improper-ownership report, which the model does
-	// not predict.)
+	// Edges between regions: an interior node pointing at an owner, at an
+	// ownee asserted dead (reported for both kinds when the edge is in
+	// another owner's region) or at any ownee.
 	for i := 0; i < 6; i++ {
 		a := interior[rng.Intn(len(interior))]
 		slots := refSlots(a)
@@ -534,9 +534,12 @@ func longQueues(t *testing.T, seed int64, tally *queueTally) {
 			continue
 		}
 		var v heap.Addr
-		if rng.Intn(3) == 0 {
+		switch r := rng.Intn(3); {
+		case r == 0:
 			v = owners[rng.Intn(len(owners))]
-		} else {
+		case r == 1 && len(deadOwnees) > 0:
+			v = deadOwnees[rng.Intn(len(deadOwnees))]
+		default:
 			list := ownees[rng.Intn(len(ownees))]
 			v = list[rng.Intn(len(list))]
 		}
@@ -586,6 +589,11 @@ func longQueues(t *testing.T, seed int64, tally *queueTally) {
 	sameSet(t, "assert-dead", got[core.KindDead], wantDead)
 	tally.ownedBy += len(want.OwnedBy)
 	tally.improper += len(want.Improper)
+	for x := range want.Improper {
+		if wantDead[x] {
+			tally.deadImproper++ // reported for both kinds in one collection
+		}
+	}
 	if d := vm.Engine().Stats().OwneesChecked - checked0; d != want.Checked {
 		t.Fatalf("seed %d: OwneesChecked grew by %d, model met %d ownee edges", seed, d, want.Checked)
 	}

@@ -90,3 +90,14 @@ func (s *Space) lineRefs(a Addr, dst []Addr) []Addr {
 	}
 	return dst
 }
+
+// PrefetchRefs issues a prefetch of the header of each target of the object
+// at a's ref slots that lie in its header's cache line, at most prefetchCap
+// of them. The collector's marker calls it on every object it pushes, whose
+// header it has just loaded, so the line it reads is already in cache.
+func (s *Space) PrefetchRefs(a Addr) {
+	var buf [prefetchCap]Addr
+	for _, t := range s.lineRefs(a, buf[:0]) {
+		s.prefetchObject(t)
+	}
+}
