@@ -184,8 +184,7 @@ func BenchmarkAblationOwneeScaling(b *testing.B) {
 // fixed 200k-object list that
 //
 //   - an allocation makes 0 host allocations,
-//   - a collection makes at most 2, the collector's own baseline (the
-//     escaping Collection record and the root-scan closure),
+//   - a collection makes 0,
 //   - the layer's accessor reports it off.
 //
 // so `go test -bench BenchmarkLayersOff` fails loudly on a regression.
@@ -220,8 +219,8 @@ func BenchmarkLayersOff(b *testing.B) {
 				fr.Set(0, gcassert.Nil)
 				buildList(vm, th, fr, node, 200_000)
 				vm.Collect() // settle one-time lazy growth before measuring
-				if allocs := testing.AllocsPerRun(3, func() { vm.Collect() }); allocs > 2 {
-					b.Fatalf("%s off: a collection makes %.0f host allocations, want <= 2 (baseline)", l.name, allocs)
+				if allocs := testing.AllocsPerRun(3, func() { vm.Collect() }); allocs != 0 {
+					b.Fatalf("%s off: a collection makes %.0f host allocations, want 0", l.name, allocs)
 				}
 				if !l.off(vm) {
 					b.Fatalf("%s reports itself on in a runtime that did not enable it", l.name)

@@ -153,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *httpAddr != "" {
 		go func() {
 			fmt.Fprintf(stderr, "serving telemetry on http://%s/metrics\n", *httpAddr)
-			if err := http.ListenAndServe(*httpAddr, tel.Handler()); err != nil {
+			if err := http.ListenAndServe(*httpAddr, vm.TelemetryHandler()); err != nil {
 				fmt.Fprintln(stderr, err)
 			}
 		}()

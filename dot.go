@@ -12,7 +12,8 @@ import (
 // visual leak hunting alongside the textual path reports. Nodes are labeled
 // with their type; roots are drawn as boxes; edges are labeled with field
 // names. maxObjects bounds the output (0 = 4096); when the graph is larger,
-// a trailing comment records how many objects were omitted.
+// a trailing comment records how many objects were omitted. The walk still
+// visits every reachable object, to count them.
 func (r *Runtime) WriteDOT(w io.Writer, maxObjects int) error {
 	if maxObjects <= 0 {
 		maxObjects = 4096
@@ -26,14 +27,22 @@ func (r *Runtime) WriteDOT(w io.Writer, maxObjects int) error {
 	fmt.Fprintln(w, "  rankdir=LR;")
 	fmt.Fprintln(w, "  node [shape=ellipse, fontsize=10];")
 
-	// BFS from the roots, bounded by maxObjects.
+	// BFS from the roots over every reachable object, so the note can count
+	// what is omitted; the first maxObjects discovered are shown. order[i]
+	// is the i-th discovered object, seen[a] its position.
 	type edge struct {
 		src, dst Ref
 		label    string
 	}
-	visited := map[Ref]bool{}
-	var queue []Ref
+	seen := map[Ref]int{}
+	var order []Ref
 	var edges []edge
+	discover := func(a Ref) {
+		if _, ok := seen[a]; !ok {
+			seen[a] = len(order)
+			order = append(order, a)
+		}
+	}
 	rootID := 0
 	r.RootScanner().Roots(func(root collector.Root) {
 		a := *root.Slot
@@ -44,44 +53,34 @@ func (r *Runtime) WriteDOT(w io.Writer, maxObjects int) error {
 		rootID++
 		fmt.Fprintf(w, "  %s [shape=box, label=%q];\n", name, root.Desc)
 		fmt.Fprintf(w, "  %s -> o%d;\n", name, uint32(a))
-		if !visited[a] && len(visited) < maxObjects {
-			visited[a] = true
-			queue = append(queue, a)
-		}
+		discover(a)
 	})
-	truncated := 0
-	for i := 0; i < len(queue); i++ {
-		a := queue[i]
+	for i := 0; i < len(order); i++ {
+		a := order[i]
 		space.ForEachRef(a, func(slot int, t Ref) {
-			label := reg.Info(space.TypeOf(a)).FieldName(slot)
-			edges = append(edges, edge{src: a, dst: t, label: label})
-			if !visited[t] {
-				if len(visited) >= maxObjects {
-					truncated++
-					return
-				}
-				visited[t] = true
-				queue = append(queue, t)
+			if i < maxObjects {
+				edges = append(edges, edge{src: a, dst: t, label: reg.Info(space.TypeOf(a)).FieldName(slot)})
 			}
+			discover(t)
 		})
 	}
-	// Emit nodes in address order for deterministic output.
-	nodes := make([]Ref, 0, len(visited))
-	for a := range visited {
-		nodes = append(nodes, a)
+	shown := order
+	if len(shown) > maxObjects {
+		shown = append([]Ref(nil), order[:maxObjects]...)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	for _, a := range nodes {
+	// Emit nodes in address order for deterministic output.
+	sort.Slice(shown, func(i, j int) bool { return shown[i] < shown[j] })
+	for _, a := range shown {
 		fmt.Fprintf(w, "  o%d [label=%q];\n", uint32(a), space.TypeName(a))
 	}
 	for _, e := range edges {
-		if !visited[e.dst] {
+		if seen[e.dst] >= maxObjects {
 			continue
 		}
 		fmt.Fprintf(w, "  o%d -> o%d [label=%q];\n", uint32(e.src), uint32(e.dst), e.label)
 	}
-	if truncated > 0 {
-		fmt.Fprintf(w, "  // truncated: %d additional objects not shown\n", truncated)
+	if omitted := len(order) - len(shown); omitted > 0 {
+		fmt.Fprintf(w, "  // truncated: %d additional objects not shown\n", omitted)
 	}
 	_, err := fmt.Fprintln(w, "}")
 	return err

@@ -62,8 +62,8 @@ func TestWriteDOTTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	dot := out.String()
-	if !strings.Contains(dot, "truncated:") {
-		t.Errorf("expected truncation note:\n%s", dot)
+	if !strings.Contains(dot, "// truncated: 90 additional objects not shown") {
+		t.Errorf("expected a truncation note counting the 90 omitted objects:\n%s", dot)
 	}
 	if got := strings.Count(dot, `[label="Node"]`); got > 10 {
 		t.Errorf("emitted %d nodes, cap was 10", got)

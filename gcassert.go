@@ -2,7 +2,6 @@ package gcassert
 
 import (
 	"io"
-	"net/http"
 
 	"gcassert/internal/collector"
 	"gcassert/internal/core"
@@ -188,19 +187,6 @@ func ReadFlightBundle(rd io.Reader) (FlightBundle, error) { return flight.ReadBu
 
 // ParseHeapProfile decodes a bundle's embedded pprof heap profile.
 func ParseHeapProfile(data []byte) (*flight.Profile, error) { return flight.ParseProfile(data) }
-
-// TelemetryHandler returns the telemetry HTTP surface (/metrics,
-// /debug/gcassert/trace, /debug/gcassert/violations,
-// /debug/gcassert/heap). It panics when the runtime was created without
-// the Telemetry option. All endpoints except the heap profile are safe to
-// scrape while the workload runs; see telemetry.Tracer.Handler.
-func (r *Runtime) TelemetryHandler() http.Handler {
-	tel := r.Telemetry()
-	if tel == nil {
-		panic("gcassert: TelemetryHandler requires Options.Telemetry")
-	}
-	return tel.Handler()
-}
 
 // GetRef loads the reference field at slot of the object at a.
 func (r *Runtime) GetRef(a Ref, slot int) Ref { return r.Space().GetRef(a, slot) }

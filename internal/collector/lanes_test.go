@@ -3,7 +3,7 @@ package collector_test
 // Differential test of the lane marker (trace.go) against the reference
 // model (internal/heap/refmodel). Seeded graphs whose fan-out exceeds the
 // lane count, so that idle lanes steal, carry assert-dead and
-// assert-unshared on disjoint objects. Each is collected in Base and in
+// assert-unshared, some objects both. Each is collected in Base and in
 // Infrastructure mode, with assert-dead logged or forced true (every edge the
 // trace meets into an asserted-dead object is severed), under three regime
 // probe windows: interleaved throughout, a short probe, and the default one,
@@ -48,7 +48,8 @@ func (r laneRoots) Roots(yield func(collector.Root)) {
 
 // laneWorld is one seeded heap: objects of a two-reference record type and
 // reference arrays up to twice the lane count long, random edges, a root
-// array wider than the lanes, and the objects to assert dead or unshared.
+// array wider than the lanes, and the objects to assert dead, unshared or
+// both.
 // In a spread world every object is followed by garbage of its own size
 // class, at least twice the probe's near distance of it, so that no scan is
 // near another.
@@ -112,6 +113,9 @@ func newLaneWorld(t *testing.T, seed int64) *laneWorld {
 		case 0:
 			w.dead = append(w.dead, a)
 		case 1:
+			w.unshared = append(w.unshared, a)
+		case 2:
+			w.dead = append(w.dead, a)
 			w.unshared = append(w.unshared, a)
 		}
 	}

@@ -3,9 +3,10 @@ package core_test
 // Every small heap, exhaustively (the small-scope hypothesis: most heap bugs
 // have a small witness). Three objects with two reference slots each, every
 // edge map (4⁶), every root set (2³) and every assertion configuration:
-// none, assert-dead or assert-unshared on one object, assert-ownedby on one
-// ordered pair, and that pair with assert-dead on one object, which is what
-// reaches the pre-phase's dead check. Object relabelling is a symmetry, so
+// none, assert-dead or assert-unshared on one object, both on the same
+// object (whose dead report must not silence its unshared one),
+// assert-ownedby on one ordered pair, and that pair with assert-dead on one
+// object, which is what reaches the pre-phase's dead check. Object relabelling is a symmetry, so
 // only the case whose encoding is smallest among its six relabellings runs.
 // The real collector and engine collect each heap once, twice for
 // ownership, and the outcome is checked against internal/heap/refmodel:
@@ -97,6 +98,8 @@ func (c *smallCase) kind() string {
 		return "ownedby+dead"
 	case c.owner >= 0:
 		return "ownedby"
+	case c.dead >= 0 && c.unshared >= 0:
+		return "dead+unshared"
 	case c.dead >= 0:
 		return "dead"
 	case c.unshared >= 0:
@@ -125,7 +128,8 @@ func smallConfigs() []smallCase {
 	out := []smallCase{{dead: -1, unshared: -1, owner: -1, own: -1}}
 	for i := int8(0); i < smallObjs; i++ {
 		out = append(out, smallCase{dead: i, unshared: -1, owner: -1, own: -1},
-			smallCase{dead: -1, unshared: i, owner: -1, own: -1})
+			smallCase{dead: -1, unshared: i, owner: -1, own: -1},
+			smallCase{dead: i, unshared: i, owner: -1, own: -1})
 	}
 	for o := int8(0); o < smallObjs; o++ {
 		for e := int8(0); e < smallObjs; e++ {

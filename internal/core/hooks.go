@@ -102,8 +102,11 @@ func (e *Engine) onDeadReachable(c *collector.Collector, obj heap.Addr, f heap.F
 	act := e.report(v)
 	if act != collector.EdgeClear {
 		// Log mode: the assertion is one-shot; a reported object is not
-		// re-reported at later collections.
-		s.ClearFlag(obj, heap.FlagDead)
+		// re-reported at later collections. Its logged bit goes too: the bit
+		// is shared with assert-unshared, whose report on this object a dead
+		// report must not silence. Only a forced object keeps both, so that
+		// every later edge into it is severed without a second report.
+		s.ClearFlag(obj, heap.FlagDead|flagLogged)
 	}
 	return act
 }

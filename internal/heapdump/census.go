@@ -127,18 +127,9 @@ type Config struct {
 // which a count taken in the trace would miss (the trace skips them as
 // already marked).
 type Census struct {
-	space *heap.Space
-
-	// Accumulation arrays, indexed by TypeID; touched only inside
-	// stop-the-world collections.
-	objects   []uint64
-	words     []uint64
-	cellWords []uint64
-	hist      [][NumSizeBuckets]uint32
-	// sites accumulates per-(type, site) rows, keyed TypeID<<32 | SiteID.
-	// It stays nil unless the space has provenance enabled, so the
-	// provenance-off walk pays exactly one nil-check per object here.
-	sites map[uint64]*siteTotals
+	// The census's tally is reused by every collection; it is touched only
+	// inside stop-the-world collections.
+	tally
 
 	// onSnapshot, if set, runs after each snapshot is recorded (still inside
 	// the collection) — the runtime uses it to publish census gauges.
@@ -161,7 +152,7 @@ func NewCensus(space *heap.Space, cfg Config) *Census {
 	if cfg.Ring <= 0 {
 		cfg.Ring = 64
 	}
-	return &Census{space: space, ring: make([]Snapshot, 0, cfg.Ring)}
+	return &Census{tally: tally{space: space}, ring: make([]Snapshot, 0, cfg.Ring)}
 }
 
 // SetOnSnapshot installs a callback invoked after every recorded snapshot,
@@ -172,8 +163,36 @@ func (c *Census) SetOnSnapshot(fn func(*Snapshot)) { c.onSnapshot = fn }
 // documents. Install at wiring time.
 func (c *Census) SetIdentity(id version.Identity) { c.identity = &id }
 
-// observe accounts one surviving object.
-func (c *Census) observe(a heap.Addr) bool {
+// tally accumulates one census walk: per-type rows and, with provenance,
+// per-(type, site) rows.
+type tally struct {
+	space *heap.Space
+
+	// Accumulation arrays, indexed by TypeID.
+	objects   []uint64
+	words     []uint64
+	cellWords []uint64
+	hist      [][NumSizeBuckets]uint32
+	// sites accumulates per-(type, site) rows, keyed TypeID<<32 | SiteID.
+	// It stays nil unless the space has provenance enabled, so the
+	// provenance-off walk pays exactly one nil-check per object here.
+	sites map[uint64]*siteTotals
+}
+
+// Count takes a census of the heap on demand: the per-collection census's
+// walk over a fresh tally, counting every allocated object (between
+// collections, the last cycle's survivors plus whatever was allocated
+// since). The snapshot carries no GC or reason. Like every heap walk it
+// must only run while the runtime is quiescent.
+func Count(space *heap.Space) Snapshot {
+	t := tally{space: space}
+	t.reset()
+	space.ForEachObject(t.observe)
+	return t.snapshot(0, "")
+}
+
+// observe accounts one allocated object.
+func (c *tally) observe(a heap.Addr) bool {
 	t := c.space.TypeOf(a)
 	sz := c.space.SizeWords(a)
 	c.objects[t]++
@@ -199,9 +218,10 @@ type siteTotals struct {
 	words   uint64
 }
 
-// grow extends the accumulation arrays to cover every registered type (types
-// may be defined between collections, never during one).
-func (c *Census) grow() {
+// reset zeroes the tally, first extending the accumulation arrays to cover
+// every registered type (types may be defined between collections, never
+// during one).
+func (c *tally) reset() {
 	n := c.space.Registry().NumTypes()
 	for len(c.objects) < n {
 		c.objects = append(c.objects, 0)
@@ -209,15 +229,6 @@ func (c *Census) grow() {
 		c.cellWords = append(c.cellWords, 0)
 		c.hist = append(c.hist, [NumSizeBuckets]uint32{})
 	}
-}
-
-// GCBegin implements collector.Observer; the census is taken in GCEnd.
-func (c *Census) GCBegin(*collector.Collection) {}
-
-// GCEnd implements collector.Observer: count every allocated object — after
-// the sweep, exactly the cycle's survivors — and record the snapshot.
-func (c *Census) GCEnd(col *collector.Collection) {
-	c.grow()
 	for i := range c.objects {
 		c.objects[i] = 0
 		c.words[i] = 0
@@ -231,8 +242,17 @@ func (c *Census) GCEnd(col *collector.Collection) {
 	} else {
 		c.sites = nil
 	}
+}
+
+// GCBegin implements collector.Observer; the census is taken in GCEnd.
+func (c *Census) GCBegin(*collector.Collection) {}
+
+// GCEnd implements collector.Observer: count every allocated object — after
+// the sweep, exactly the cycle's survivors — and record the snapshot.
+func (c *Census) GCEnd(col *collector.Collection) {
+	c.reset()
 	c.space.ForEachObject(c.observe)
-	snap := c.buildSnapshot(col)
+	snap := c.snapshot(col.Seq, string(col.Reason))
 	c.mu.Lock()
 	if len(c.ring) < cap(c.ring) {
 		c.ring = append(c.ring, snap)
@@ -248,11 +268,11 @@ func (c *Census) GCEnd(col *collector.Collection) {
 	}
 }
 
-// buildSnapshot renders the accumulation arrays into a Snapshot, rows sorted
-// by payload words descending (name ascending on ties) for stable display.
-func (c *Census) buildSnapshot(col *collector.Collection) Snapshot {
+// snapshot renders the accumulation arrays into a Snapshot, rows sorted by
+// payload words descending (name ascending on ties) for stable display.
+func (c *tally) snapshot(gc uint64, reason string) Snapshot {
 	reg := c.space.Registry()
-	snap := Snapshot{GC: col.Seq, Reason: string(col.Reason), UnixNs: time.Now().UnixNano()}
+	snap := Snapshot{GC: gc, Reason: reason, UnixNs: time.Now().UnixNano()}
 	for t := range c.objects {
 		if c.objects[t] == 0 {
 			continue

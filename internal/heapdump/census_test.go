@@ -1,6 +1,7 @@
 package heapdump_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -229,5 +230,39 @@ func TestRankSuspectsIgnoresShrinkingTypes(t *testing.T) {
 	sus := heapdump.RankSuspects([]heapdump.Snapshot{mk(0, 100), mk(1, 60), mk(2, 20)}, 10)
 	if len(sus) != 0 {
 		t.Errorf("shrinking type ranked as suspect: %+v", sus)
+	}
+}
+
+// TestCountIsTheCensusOnDemand: right after a collection the on-demand
+// count equals the census snapshot of that collection, per type and per
+// site; between collections it also counts what was allocated since.
+func TestCountIsTheCensusOnDemand(t *testing.T) {
+	s, node, leaf, roots, c, census := world(t, 8)
+	s.EnableProvenance(1)
+	site := s.Provenance().Register("census_test.go: new Leaf")
+	head := mustAlloc(t, s, node, 0)
+	for i := 0; i < 5; i++ {
+		l := mustAlloc(t, s, leaf, 0)
+		s.RecordSite(l, site)
+		n := mustAlloc(t, s, node, 0)
+		s.SetRef(n, 0, head)
+		s.SetRef(n, 1, l)
+		head = n
+	}
+	mustAlloc(t, s, leaf, 0) // garbage
+	roots.slots = []heap.Addr{head}
+	c.Collect("test")
+
+	snap, _ := census.Latest()
+	got := heapdump.Count(s)
+	if !reflect.DeepEqual(got.Types, snap.Types) || !reflect.DeepEqual(got.Sites, snap.Sites) {
+		t.Fatalf("count after a collection:\n%+v\n%+v\nthe collection's census:\n%+v\n%+v", got.Types, got.Sites, snap.Types, snap.Sites)
+	}
+	if len(got.Sites) != 2 || got.TotalObjects != 11 {
+		t.Errorf("count has %d site rows and %d objects, want 2 and 11: %+v", len(got.Sites), got.TotalObjects, got.Sites)
+	}
+	mustAlloc(t, s, leaf, 0)
+	if n := heapdump.Count(s).TotalObjects; n != 12 {
+		t.Errorf("count after one more allocation = %d objects, want 12", n)
 	}
 }

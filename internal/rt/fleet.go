@@ -1,9 +1,6 @@
 package rt
 
 import (
-	"encoding/json"
-	"io"
-
 	"gcassert/internal/fleet"
 	"gcassert/internal/version"
 )
@@ -23,28 +20,4 @@ func (r *Runtime) CloseFleet() {
 	if r.fleetx != nil {
 		r.fleetx.Close()
 	}
-}
-
-// writeFleetStatus is the /debug/gcassert/fleet document: the exporter's
-// identity and counters, plus — when export is set — the hash of a census
-// envelope sealed on demand, or the reason none could be.
-func (r *Runtime) writeFleetStatus(w io.Writer, export bool) error {
-	fx := r.fleetx
-	doc := struct {
-		Instance version.Identity  `json:"instance"`
-		Stats    fleet.ExportStats `json:"stats"`
-		Exported string            `json:"exported_hash,omitempty"`
-		Error    string            `json:"export_error,omitempty"`
-	}{Instance: fx.Identity()}
-	if export {
-		if hash, err := fx.ExportLatest(); err != nil {
-			doc.Error = err.Error()
-		} else {
-			doc.Exported = hash
-		}
-	}
-	doc.Stats = fx.Stats()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&doc)
 }

@@ -1,11 +1,9 @@
 package rt
 
 import (
-	"sort"
-
 	"gcassert/internal/core"
 	"gcassert/internal/flight"
-	"gcassert/internal/heap"
+	"gcassert/internal/heapdump"
 )
 
 // flightViolation converts an engine violation into the flight recorder's
@@ -32,45 +30,26 @@ func flightViolation(v *core.Violation) flight.ViolationRecord {
 }
 
 // siteProfile groups the live heap by (allocation site, type) for the
-// flight recorder's pprof export. It walks every allocated object, so it
-// must only run while the heap is consistent: between collections, or
-// inside a stop-the-world pause before the sweep — which covers both dump
-// triggers (on-demand and on-violation). Objects allocated before
-// provenance was enabled, or skipped by sampling, group under the unknown
-// site.
+// flight recorder's pprof export, from an on-demand census
+// (heapdump.Count). The census walks every allocated object, so it must
+// only run while the heap is consistent: between collections, or inside a
+// stop-the-world pause before the sweep — which covers both dump triggers
+// (on-demand and on-violation). Objects allocated before provenance was
+// enabled, or skipped by sampling, group under the unknown site; without
+// provenance every object does, so the census's per-type rows are the
+// profile.
 func (r *Runtime) siteProfile() []flight.SiteSample {
-	s := r.space
-	reg := s.Registry()
-	type key struct {
-		site heap.SiteID
-		typ  heap.TypeID
+	snap := heapdump.Count(r.space)
+	rows := snap.Sites
+	if r.space.Provenance() == nil {
+		rows = make([]heapdump.SiteCensus, len(snap.Types))
+		for i, t := range snap.Types {
+			rows[i] = heapdump.SiteCensus{TypeName: t.TypeName, Objects: t.Objects, Words: t.Words}
+		}
 	}
-	acc := map[key]*flight.SiteSample{}
-	var order []key
-	s.ForEachObject(func(a heap.Addr) bool {
-		k := key{site: s.SiteOf(a), typ: s.TypeOf(a)}
-		sm := acc[k]
-		if sm == nil {
-			sm = &flight.SiteSample{Site: s.SiteDesc(a), Type: reg.Name(k.typ)}
-			acc[k] = sm
-			order = append(order, k)
-		}
-		sm.Objects++
-		sm.Bytes += int64(s.SizeWords(a)) * heap.WordBytes
-		return true
-	})
-	out := make([]flight.SiteSample, 0, len(order))
-	for _, k := range order {
-		out = append(out, *acc[k])
+	out := make([]flight.SiteSample, len(rows))
+	for i, row := range rows {
+		out[i] = flight.SiteSample{Site: row.Site, Type: row.TypeName, Objects: int64(row.Objects), Bytes: int64(row.Bytes())}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bytes != out[j].Bytes {
-			return out[i].Bytes > out[j].Bytes
-		}
-		if out[i].Site != out[j].Site {
-			return out[i].Site < out[j].Site
-		}
-		return out[i].Type < out[j].Type
-	})
 	return out
 }

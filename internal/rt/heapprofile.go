@@ -3,9 +3,9 @@ package rt
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"gcassert/internal/heap"
+	"gcassert/internal/heapdump"
 )
 
 // TypeProfile is the live-heap footprint of one type.
@@ -19,36 +19,18 @@ type TypeProfile struct {
 	Words   int
 }
 
-// HeapProfile walks the heap and returns the live-object histogram by type,
-// largest footprint first — the introspection view a leak hunter starts
-// from before placing assertions.
+// HeapProfile returns the live-object histogram by type, largest footprint
+// first — the introspection view a leak hunter starts from before placing
+// assertions. Its rows are an on-demand census (heapdump.Count), so they
+// count every allocated object.
 //
 // It must be called from mutator context (never from a Reporter).
 func (r *Runtime) HeapProfile() []TypeProfile {
-	space := r.space
-	reg := r.reg
-	byType := map[heap.TypeID]*TypeProfile{}
-	space.ForEachObject(func(a heap.Addr) bool {
-		t := space.TypeOf(a)
-		p := byType[t]
-		if p == nil {
-			p = &TypeProfile{Type: t, TypeName: reg.Name(t)}
-			byType[t] = p
-		}
-		p.Objects++
-		p.Words += space.SizeWords(a)
-		return true
-	})
-	out := make([]TypeProfile, 0, len(byType))
-	for _, p := range byType {
-		out = append(out, *p)
+	rows := heapdump.Count(r.space).Types
+	out := make([]TypeProfile, len(rows))
+	for i, row := range rows {
+		out[i] = TypeProfile{Type: row.Type, TypeName: row.TypeName, Objects: int(row.Objects), Words: int(row.Words)}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Words != out[j].Words {
-			return out[i].Words > out[j].Words
-		}
-		return out[i].TypeName < out[j].TypeName
-	})
 	return out
 }
 

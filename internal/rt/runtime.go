@@ -39,7 +39,8 @@ import (
 //   - A layer that feeds another is wired to it when both are on: the
 //     census feeds telemetry gauges, the flight recorder and the fleet
 //     exporter; the flight recorder feeds violation-triggered fleet exports;
-//     telemetry serves every other layer's document over HTTP.
+//     with telemetry, TelemetryHandler serves every layer's document over
+//     HTTP.
 type Config struct {
 	// HeapBytes sizes the managed heap (default 64 MiB). The collector runs
 	// when allocation fails; like the paper's methodology, benchmarks size
@@ -243,19 +244,10 @@ func New(cfg Config) *Runtime {
 		}
 	}
 	if r.tel != nil {
-		// Telemetry serves every other layer's document over HTTP, and
-		// mirrors each census into per-type gauges.
-		r.tel.SetHeapProfile(func(w io.Writer) error { return r.WriteHeapProfile(w, 0) })
+		// Telemetry mirrors each census into per-type gauges; every other
+		// layer's document is served beside its own (TelemetryHandler).
 		if r.census != nil {
 			r.census.SetOnSnapshot((&censusPublisher{reg: r.tel.Registry()}).publish)
-			r.tel.SetCensusSource(r.census.WriteJSON)
-			r.tel.SetLeakSource(r.census.WriteSuspectsJSON)
-		}
-		if r.flight != nil {
-			r.tel.SetFlightSource(func(w io.Writer) error { return r.flight.WriteBundle(w, "http") })
-		}
-		if r.fleetx != nil {
-			r.tel.SetFleetSource(r.writeFleetStatus)
 		}
 		b := r.identity.Build
 		r.tel.Registry().Gauge("gcassert_build_info",

@@ -6,37 +6,35 @@ import (
 	"strconv"
 )
 
-// endpoint describes one entry of the tracer's HTTP surface: the mux
-// pattern it is registered under, its handler, a one-line description for
-// the index, and — for endpoints that need an installed backing source — a
-// probe plus the option that installs it. Handler and writeIndex both
-// iterate this table, so the index can never list a route that is not
-// registered, nor miss one that is (TestIndexMatchesRoutes pins this).
-type endpoint struct {
-	pattern   string
-	desc      string
-	handler   http.HandlerFunc
-	installed func() bool // nil = always available
-	enable    string      // what turns an uninstalled endpoint on
+// Route is one entry of a debug HTTP surface: the mux pattern it is
+// registered under, its handler, and a one-line description for the index.
+// Serve registers and indexes the same slice, so the index can never list a
+// route that is not registered, nor miss one that is.
+type Route struct {
+	Pattern string
+	Desc    string
+	Handler http.HandlerFunc
+	// Enable, when set, marks the route unavailable: the index flags it and
+	// names what turns it on.
+	Enable string
 }
 
-// endpoints returns the tracer's route table. The index route itself
-// (/debug/gcassert/) is registered separately in Handler — it renders this
-// table rather than appearing in it.
-func (t *Tracer) endpoints() []endpoint {
-	return []endpoint{
+// Routes returns the tracer's own routes: metrics, the event trace, the
+// violation log and the live feed, in that order.
+func (t *Tracer) Routes() []Route {
+	return []Route{
 		{
-			pattern: "/metrics",
-			desc:    "Prometheus text exposition",
-			handler: func(w http.ResponseWriter, _ *http.Request) {
+			Pattern: "/metrics",
+			Desc:    "Prometheus text exposition",
+			Handler: func(w http.ResponseWriter, _ *http.Request) {
 				w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 				_ = t.WriteMetrics(w)
 			},
 		},
 		{
-			pattern: "/debug/gcassert/trace",
-			desc:    "GC event trace (?format=jsonl|gctrace|chrome)",
-			handler: func(w http.ResponseWriter, r *http.Request) {
+			Pattern: "/debug/gcassert/trace",
+			Desc:    "GC event trace (?format=jsonl|gctrace|chrome)",
+			Handler: func(w http.ResponseWriter, r *http.Request) {
 				switch f := r.URL.Query().Get("format"); f {
 				case "chrome":
 					w.Header().Set("Content-Type", "application/json")
@@ -53,9 +51,9 @@ func (t *Tracer) endpoints() []endpoint {
 			},
 		},
 		{
-			pattern: "/debug/gcassert/violations",
-			desc:    "recent violation reports",
-			handler: func(w http.ResponseWriter, _ *http.Request) {
+			Pattern: "/debug/gcassert/violations",
+			Desc:    "recent violation reports",
+			Handler: func(w http.ResponseWriter, _ *http.Request) {
 				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 				reports, total := t.Violations()
 				fmt.Fprintf(w, "# %d violations logged, %d retained\n", total, len(reports))
@@ -65,135 +63,25 @@ func (t *Tracer) endpoints() []endpoint {
 			},
 		},
 		{
-			pattern:   "/debug/gcassert/heap",
-			desc:      "live-heap profile by type",
-			installed: func() bool { return t.heapProfileFn() != nil },
-			enable:    "a heap profile source",
-			handler: func(w http.ResponseWriter, _ *http.Request) {
-				f := t.heapProfileFn()
-				if f == nil {
-					http.Error(w, "no heap profile source installed", http.StatusNotFound)
-					return
-				}
-				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-				if err := f(w); err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-				}
-			},
-		},
-		{
-			pattern:   "/debug/gcassert/census",
-			desc:      "per-type census snapshots (?last=N)",
-			installed: func() bool { return t.censusSourceFn() != nil },
-			enable:    "Introspection",
-			handler: func(w http.ResponseWriter, r *http.Request) {
-				f := t.censusSourceFn()
-				if f == nil {
-					http.Error(w, "no census source installed (enable Introspection)", http.StatusNotFound)
-					return
-				}
-				n, err := intParam(r, "last", 0)
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusBadRequest)
-					return
-				}
-				w.Header().Set("Content-Type", "application/json")
-				if err := f(w, n); err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-				}
-			},
-		},
-		{
-			pattern:   "/debug/gcassert/leaks",
-			desc:      "leak suspects (?window=N&top=N)",
-			installed: func() bool { return t.leakSourceFn() != nil },
-			enable:    "Introspection",
-			handler: func(w http.ResponseWriter, r *http.Request) {
-				f := t.leakSourceFn()
-				if f == nil {
-					http.Error(w, "no leak source installed (enable Introspection)", http.StatusNotFound)
-					return
-				}
-				window, err := intParam(r, "window", 0)
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusBadRequest)
-					return
-				}
-				top, err := intParam(r, "top", 10)
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusBadRequest)
-					return
-				}
-				w.Header().Set("Content-Type", "application/json")
-				if err := f(w, window, top); err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-				}
-			},
-		},
-		{
-			pattern:   "/debug/gcassert/fr",
-			desc:      "flight-recorder bundle",
-			installed: func() bool { return t.flightSourceFn() != nil },
-			enable:    "FlightRecorder",
-			handler: func(w http.ResponseWriter, _ *http.Request) {
-				f := t.flightSourceFn()
-				if f == nil {
-					http.Error(w, "no flight recorder installed (enable FlightRecorder)", http.StatusNotFound)
-					return
-				}
-				w.Header().Set("Content-Type", "application/json")
-				if err := f(w); err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-				}
-			},
-		},
-		{
-			pattern:   "/debug/gcassert/fleet",
-			desc:      "fleet exporter status (POST ?export=now to ship a census)",
-			installed: func() bool { return t.fleetSourceFn() != nil },
-			enable:    "a fleet exporter (FleetURL)",
-			handler: func(w http.ResponseWriter, r *http.Request) {
-				f := t.fleetSourceFn()
-				if f == nil {
-					http.Error(w, "no fleet exporter installed (set FleetURL)", http.StatusNotFound)
-					return
-				}
-				export := r.URL.Query().Get("export") == "now"
-				if export && r.Method != http.MethodPost {
-					http.Error(w, "POST to trigger an on-demand export", http.StatusMethodNotAllowed)
-					return
-				}
-				w.Header().Set("Content-Type", "application/json")
-				if err := f(w, export); err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-				}
-			},
-		},
-		{
-			pattern: "/debug/gcassert/live",
-			desc:    "live GC event stream (SSE; ?replay=N resends recent events)",
-			handler: func(w http.ResponseWriter, r *http.Request) {
-				t.serveLive(w, r)
-			},
+			Pattern: "/debug/gcassert/live",
+			Desc:    "live GC event stream (SSE; ?replay=N resends recent events)",
+			Handler: t.serveLive,
 		},
 	}
 }
 
-// Handler returns the tracer's HTTP surface. Every route comes from the
-// endpoints table, plus /debug/gcassert/ itself, which serves an index of
-// that same table.
-//
-// Every endpoint except /debug/gcassert/heap reads only atomics and
-// mutex-guarded copies, so it is safe to scrape while the workload runs.
-// The heap endpoint walks the managed heap and must only be hit while the
-// runtime is quiescent (the runtime is single-goroutine; a scrape during a
-// mutator step reads a heap mid-mutation). The census and leaks endpoints
-// read the census snapshot ring, which is mutex-guarded, so they are safe
-// concurrently too.
-func (t *Tracer) Handler() http.Handler {
+// Handler serves the tracer's own routes and their index. Every one reads
+// only atomics and mutex-guarded copies, so it is safe to scrape while the
+// workload runs. A runtime's full debug surface, with every other layer's
+// routes beside these, is rt.Runtime.TelemetryHandler.
+func (t *Tracer) Handler() http.Handler { return Serve(t.Routes()) }
+
+// Serve registers every route, plus /debug/gcassert/ itself, which serves an
+// index of the same slice in its order.
+func Serve(routes []Route) http.Handler {
 	mux := http.NewServeMux()
-	for _, ep := range t.endpoints() {
-		mux.HandleFunc(ep.pattern, ep.handler)
+	for _, rt := range routes {
+		mux.HandleFunc(rt.Pattern, rt.Handler)
 	}
 	mux.HandleFunc(indexPattern, func(w http.ResponseWriter, r *http.Request) {
 		// The pattern is a subtree match; anything but the index itself is an
@@ -202,7 +90,16 @@ func (t *Tracer) Handler() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		t.writeIndex(w)
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintf(w, "gcassert debug endpoints\n\n")
+		for _, rt := range routes {
+			suffix := ""
+			if rt.Enable != "" {
+				suffix = fmt.Sprintf("  [unavailable: enable %s]", rt.Enable)
+			}
+			fmt.Fprintf(w, "%-28s %s%s\n", rt.Pattern, rt.Desc, suffix)
+		}
+		fmt.Fprintf(w, "%-28s %s\n", indexPattern, "this index")
 	})
 	return mux
 }
@@ -210,24 +107,8 @@ func (t *Tracer) Handler() http.Handler {
 // indexPattern is where the endpoint index itself is served.
 const indexPattern = "/debug/gcassert/"
 
-// writeIndex renders the endpoint index served at /debug/gcassert/ from the
-// live route table. Endpoints whose backing source is not installed are
-// listed as unavailable, with the option that enables them.
-func (t *Tracer) writeIndex(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "gcassert debug endpoints\n\n")
-	for _, ep := range t.endpoints() {
-		suffix := ""
-		if ep.installed != nil && !ep.installed() {
-			suffix = fmt.Sprintf("  [unavailable: enable %s]", ep.enable)
-		}
-		fmt.Fprintf(w, "%-28s %s%s\n", ep.pattern, ep.desc, suffix)
-	}
-	fmt.Fprintf(w, "%-28s %s\n", indexPattern, "this index")
-}
-
-// intParam parses an optional non-negative integer query parameter.
-func intParam(r *http.Request, name string, def int) (int, error) {
+// IntParam parses an optional non-negative integer query parameter.
+func IntParam(r *http.Request, name string, def int) (int, error) {
 	s := r.URL.Query().Get(name)
 	if s == "" {
 		return def, nil

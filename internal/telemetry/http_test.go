@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,62 +17,32 @@ func get(t *testing.T, tr *Tracer, url string) *httptest.ResponseRecorder {
 	return rec
 }
 
-// TestHandlerStatusAndContentTypes pins every endpoint's status code and
-// Content-Type header, with and without the optional sources installed.
+// TestHandlerStatusAndContentTypes pins the status code and Content-Type
+// header of every route the tracer serves itself. A runtime's full debug
+// surface, with the other layers' routes, is pinned by the root package's
+// TestDebugRoutes.
 func TestHandlerStatusAndContentTypes(t *testing.T) {
-	bare := New(Config{})
-	wired := New(Config{})
-	wired.SetHeapProfile(func(w io.Writer) error {
-		_, err := fmt.Fprintln(w, "heap profile")
-		return err
-	})
-	wired.SetCensusSource(func(w io.Writer, n int) error {
-		_, err := fmt.Fprintf(w, `{"snapshots":[],"last":%d}`, n)
-		return err
-	})
-	wired.SetLeakSource(func(w io.Writer, window, top int) error {
-		_, err := fmt.Fprintf(w, `{"suspects":[],"window":%d,"top":%d}`, window, top)
-		return err
-	})
-	wired.SetFlightSource(func(w io.Writer) error {
-		_, err := fmt.Fprintln(w, `{"schema_version":1}`)
-		return err
-	})
-
+	tr := New(Config{})
 	cases := []struct {
 		name       string
-		tracer     *Tracer
 		url        string
 		wantStatus int
 		wantCT     string
 		wantInBody string
 	}{
-		{"metrics", bare, "/metrics", 200, "text/plain; version=0.0.4; charset=utf-8", "gcassert_gc_pause_seconds"},
-		{"trace-default", bare, "/debug/gcassert/trace", 200, "application/x-ndjson", ""},
-		{"trace-jsonl", bare, "/debug/gcassert/trace?format=jsonl", 200, "application/x-ndjson", ""},
-		{"trace-gctrace", bare, "/debug/gcassert/trace?format=gctrace", 200, "text/plain; charset=utf-8", ""},
-		{"trace-chrome", bare, "/debug/gcassert/trace?format=chrome", 200, "application/json", "["},
-		{"trace-bad-format", bare, "/debug/gcassert/trace?format=nope", 400, "text/plain; charset=utf-8", "unknown format"},
-		{"violations", bare, "/debug/gcassert/violations", 200, "text/plain; charset=utf-8", "violations logged"},
-		{"heap-no-source", bare, "/debug/gcassert/heap", 404, "text/plain; charset=utf-8", "no heap profile source"},
-		{"heap-wired", wired, "/debug/gcassert/heap", 200, "text/plain; charset=utf-8", "heap profile"},
-		{"census-no-source", bare, "/debug/gcassert/census", 404, "text/plain; charset=utf-8", "no census source"},
-		{"census-wired", wired, "/debug/gcassert/census", 200, "application/json", `"last":0`},
-		{"census-last", wired, "/debug/gcassert/census?last=3", 200, "application/json", `"last":3`},
-		{"census-bad-last", wired, "/debug/gcassert/census?last=-1", 400, "text/plain; charset=utf-8", "bad last"},
-		{"leaks-no-source", bare, "/debug/gcassert/leaks", 404, "text/plain; charset=utf-8", "no leak source"},
-		{"leaks-wired", wired, "/debug/gcassert/leaks", 200, "application/json", `"window":0,"top":10`},
-		{"leaks-params", wired, "/debug/gcassert/leaks?window=8&top=3", 200, "application/json", `"window":8,"top":3`},
-		{"leaks-bad-window", wired, "/debug/gcassert/leaks?window=x", 400, "text/plain; charset=utf-8", "bad window"},
-		{"leaks-bad-top", wired, "/debug/gcassert/leaks?top=-2", 400, "text/plain; charset=utf-8", "bad top"},
-		{"fr-no-source", bare, "/debug/gcassert/fr", 404, "text/plain; charset=utf-8", "no flight recorder"},
-		{"fr-wired", wired, "/debug/gcassert/fr", 200, "application/json", `"schema_version":1`},
-		{"index", bare, "/debug/gcassert/", 200, "text/plain; charset=utf-8", "/debug/gcassert/trace"},
-		{"index-unknown-path", bare, "/debug/gcassert/nope", 404, "text/plain; charset=utf-8", "404"},
+		{"metrics", "/metrics", 200, "text/plain; version=0.0.4; charset=utf-8", "gcassert_gc_pause_seconds"},
+		{"trace-default", "/debug/gcassert/trace", 200, "application/x-ndjson", ""},
+		{"trace-jsonl", "/debug/gcassert/trace?format=jsonl", 200, "application/x-ndjson", ""},
+		{"trace-gctrace", "/debug/gcassert/trace?format=gctrace", 200, "text/plain; charset=utf-8", ""},
+		{"trace-chrome", "/debug/gcassert/trace?format=chrome", 200, "application/json", "["},
+		{"trace-bad-format", "/debug/gcassert/trace?format=nope", 400, "text/plain; charset=utf-8", "unknown format"},
+		{"violations", "/debug/gcassert/violations", 200, "text/plain; charset=utf-8", "violations logged"},
+		{"index", "/debug/gcassert/", 200, "text/plain; charset=utf-8", "/debug/gcassert/trace"},
+		{"index-unknown-path", "/debug/gcassert/nope", 404, "text/plain; charset=utf-8", "404"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := get(t, tc.tracer, tc.url)
+			rec := get(t, tr, tc.url)
 			if rec.Code != tc.wantStatus {
 				t.Errorf("status = %d, want %d (body: %s)", rec.Code, tc.wantStatus, rec.Body.String())
 			}
@@ -88,54 +56,21 @@ func TestHandlerStatusAndContentTypes(t *testing.T) {
 	}
 }
 
-// TestHandlerSourcesReceiveParams verifies the census/leaks query parameters
-// reach the installed sources (not just that parsing succeeds).
-func TestHandlerSourcesReceiveParams(t *testing.T) {
-	tr := New(Config{})
-	var gotN, gotWindow, gotTop int
-	tr.SetCensusSource(func(w io.Writer, n int) error {
-		gotN = n
-		_, err := io.WriteString(w, "{}")
-		return err
-	})
-	tr.SetLeakSource(func(w io.Writer, window, top int) error {
-		gotWindow, gotTop = window, top
-		_, err := io.WriteString(w, "{}")
-		return err
-	})
-	get(t, tr, "/debug/gcassert/census?last=7")
-	if gotN != 7 {
-		t.Errorf("census source got last=%d, want 7", gotN)
-	}
-	get(t, tr, "/debug/gcassert/leaks?window=5&top=2")
-	if gotWindow != 5 || gotTop != 2 {
-		t.Errorf("leak source got window=%d top=%d, want 5 and 2", gotWindow, gotTop)
-	}
-}
-
-// TestIndexMarksUnavailableEndpoints: the index page must list every
-// endpoint and flag the ones whose backing source is missing — and drop the
-// flags once the sources are installed.
+// TestIndexMarksUnavailableEndpoints: the index lists every route in order,
+// and flags exactly the ones marked unavailable with what enables them.
 func TestIndexMarksUnavailableEndpoints(t *testing.T) {
-	tr := New(Config{})
-	body := get(t, tr, "/debug/gcassert/").Body.String()
-	for _, ep := range []string{"/metrics", "trace", "violations", "heap", "census", "leaks", "fr"} {
-		if !strings.Contains(body, ep) {
-			t.Errorf("index does not mention %q:\n%s", ep, body)
-		}
-	}
-	for _, enable := range []string{"Introspection", "FlightRecorder"} {
-		if !strings.Contains(body, "[unavailable: enable "+enable+"]") {
-			t.Errorf("index does not flag the missing %s source:\n%s", enable, body)
-		}
-	}
-
-	tr.SetHeapProfile(func(w io.Writer) error { return nil })
-	tr.SetCensusSource(func(w io.Writer, n int) error { return nil })
-	tr.SetLeakSource(func(w io.Writer, window, top int) error { return nil })
-	tr.SetFlightSource(func(w io.Writer) error { return nil })
-	tr.SetFleetSource(func(w io.Writer, export bool) error { return nil })
-	if body := get(t, tr, "/debug/gcassert/").Body.String(); strings.Contains(body, "[unavailable") {
-		t.Errorf("fully wired tracer still lists unavailable endpoints:\n%s", body)
+	ok := func(w http.ResponseWriter, _ *http.Request) {}
+	h := Serve([]Route{
+		{Pattern: "/a", Desc: "on", Handler: ok},
+		{Pattern: "/b", Desc: "off", Handler: ok, Enable: "Something"},
+	})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, indexPattern, nil))
+	want := "gcassert debug endpoints\n\n" +
+		"/a                           on\n" +
+		"/b                           off  [unavailable: enable Something]\n" +
+		"/debug/gcassert/             this index\n"
+	if got := rec.Body.String(); got != want {
+		t.Errorf("index:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -27,7 +27,7 @@ func (t *Tracer) serveLive(w http.ResponseWriter, r *http.Request) {
 			http.StatusInternalServerError)
 		return
 	}
-	replay, err := intParam(r, "replay", 0)
+	replay, err := IntParam(r, "replay", 0)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

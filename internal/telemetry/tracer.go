@@ -49,13 +49,6 @@ type Tracer struct {
 	// onRecord, when set, observes every event synchronously at the end of
 	// Record — see OnRecord.
 	onRecord func(*Event)
-
-	hmu         sync.Mutex
-	heapProfile func(io.Writer) error
-	censusFn    func(w io.Writer, n int) error
-	leaksFn     func(w io.Writer, window, top int) error
-	flightFn    func(io.Writer) error
-	fleetFn     func(w io.Writer, export bool) error
 }
 
 // New creates a Tracer.
@@ -227,84 +220,4 @@ func (t *Tracer) Violations() (reports []string, total uint64) {
 	t.vmu.Lock()
 	defer t.vmu.Unlock()
 	return append([]string(nil), t.viols...), t.violSeen
-}
-
-// SetHeapProfile installs the function backing /debug/gcassert/heap.
-// The facade wires it to Runtime.WriteHeapProfile. The function walks the
-// live heap, so it must only be invoked while the runtime is quiescent
-// (between mutator steps) — see Handler.
-func (t *Tracer) SetHeapProfile(f func(io.Writer) error) {
-	t.hmu.Lock()
-	defer t.hmu.Unlock()
-	t.heapProfile = f
-}
-
-func (t *Tracer) heapProfileFn() func(io.Writer) error {
-	t.hmu.Lock()
-	defer t.hmu.Unlock()
-	return t.heapProfile
-}
-
-// SetCensusSource installs the function backing /debug/gcassert/census; the
-// facade wires it to the census ring's JSON export (last n snapshots, n <= 0
-// for all). The census ring is mutex-guarded, so unlike the heap profile this
-// source is safe to scrape while the workload runs.
-func (t *Tracer) SetCensusSource(f func(w io.Writer, n int) error) {
-	t.hmu.Lock()
-	defer t.hmu.Unlock()
-	t.censusFn = f
-}
-
-// SetLeakSource installs the function backing /debug/gcassert/leaks: leak
-// suspects ranked over the last `window` census snapshots, top `top`
-// returned. Also safe to scrape concurrently.
-func (t *Tracer) SetLeakSource(f func(w io.Writer, window, top int) error) {
-	t.hmu.Lock()
-	defer t.hmu.Unlock()
-	t.leaksFn = f
-}
-
-// SetFlightSource installs the function backing /debug/gcassert/fr: a
-// flight-recorder bundle dump. The facade wires it to the recorder's
-// WriteBundle; the bundle's heap profile walks the managed heap, so like
-// the heap endpoint it must only be hit while the runtime is quiescent.
-func (t *Tracer) SetFlightSource(f func(io.Writer) error) {
-	t.hmu.Lock()
-	defer t.hmu.Unlock()
-	t.flightFn = f
-}
-
-func (t *Tracer) flightSourceFn() func(io.Writer) error {
-	t.hmu.Lock()
-	defer t.hmu.Unlock()
-	return t.flightFn
-}
-
-func (t *Tracer) censusSourceFn() func(io.Writer, int) error {
-	t.hmu.Lock()
-	defer t.hmu.Unlock()
-	return t.censusFn
-}
-
-func (t *Tracer) leakSourceFn() func(io.Writer, int, int) error {
-	t.hmu.Lock()
-	defer t.hmu.Unlock()
-	return t.leaksFn
-}
-
-// SetFleetSource installs the function backing /debug/gcassert/fleet: the
-// fleet exporter's status (identity, queue/send stats), and — when export
-// is true — an on-demand census export to the collector first. The status
-// is mutex-guarded on the exporter side, so the endpoint is safe to hit
-// while the workload runs.
-func (t *Tracer) SetFleetSource(f func(w io.Writer, export bool) error) {
-	t.hmu.Lock()
-	defer t.hmu.Unlock()
-	t.fleetFn = f
-}
-
-func (t *Tracer) fleetSourceFn() func(io.Writer, bool) error {
-	t.hmu.Lock()
-	defer t.hmu.Unlock()
-	return t.fleetFn
 }

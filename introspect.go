@@ -10,11 +10,10 @@ import (
 // Heap introspection: the observability counterpart to assertions. Where an
 // assertion checks a property the programmer already suspects, introspection
 // answers the open-ended question "what is my heap doing?" — a per-type
-// census taken during every collection's mark phase, snapshot diffing
-// that ranks leak suspects Cork-style by per-type growth across collections,
-// and on-demand dominator/retained-size analysis. Enable it with
-// Options.Introspection; the census is then one extra callback per marked
-// object, riding the same trace the paper piggybacks assertions on.
+// census taken at the end of every collection from the sweep's survivors,
+// snapshot diffing that ranks leak suspects Cork-style by per-type growth
+// across collections, and on-demand dominator/retained-size analysis.
+// Enable it with Options.Introspection.
 
 // Re-exported introspection types (aliases, no conversion needed).
 type (
